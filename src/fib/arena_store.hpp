@@ -16,7 +16,7 @@
 // half-written temp is garbage readers never look at) or the new arena
 // fully published — never a partially visible generation. Readers load
 // CURRENT between batches, and every arena they adopt re-runs FlatFib's
-// total validation (magic, directory bounds, FNV-1a payload checksum,
+// total validation (magic, directory bounds, XXH64 payload checksum,
 // structural checks) against the mapped bytes; a corrupt or truncated
 // publication is rejected and the reader falls back to the newest
 // earlier generation that validates, so an unvalidated arena is never

@@ -49,10 +49,10 @@ FlatFib compile_fib(const TreeRouter& router, const Graph& g) {
                      h.light_sequence.end());
   }
 
-  b.add_array(fib_section::kTreeNodes, nodes);
-  b.add_array(fib_section::kTreeLightPorts, light_ports);
-  b.add_array(fib_section::kTreeLabelOff, label_off);
-  b.add_array(fib_section::kTreeLabelSeq, label_seq);
+  b.add_array(fib_section::kTreeNodes, std::move(nodes));
+  b.add_array(fib_section::kTreeLightPorts, std::move(light_ports));
+  b.add_array(fib_section::kTreeLabelOff, std::move(label_off));
+  b.add_array(fib_section::kTreeLabelSeq, std::move(label_seq));
   return b.finish();
 }
 
@@ -79,9 +79,9 @@ FlatFib compile_fib(const IntervalRouter& router, const Graph& g) {
   }
   nodes[n].child_off = static_cast<std::uint32_t>(child_in.size());
 
-  b.add_array(fib_section::kIntervalNodes, nodes);
-  b.add_array(fib_section::kIntervalChildIn, child_in);
-  b.add_array(fib_section::kIntervalChildPort, child_port);
+  b.add_array(fib_section::kIntervalNodes, std::move(nodes));
+  b.add_array(fib_section::kIntervalChildIn, std::move(child_in));
+  b.add_array(fib_section::kIntervalChildPort, std::move(child_port));
   return b.finish();
 }
 
@@ -109,9 +109,9 @@ FlatFib compile_fib(const CompressedTableScheme& scheme, const Graph& g) {
     row_off[u + 1] = static_cast<std::uint32_t>(runs.size());
   }
 
-  b.add_array(fib_section::kTableRowOff, row_off);
-  b.add_array(fib_section::kTableRuns, runs);
-  b.add_array(fib_section::kTableRelabel, relabel);
+  b.add_array(fib_section::kTableRowOff, std::move(row_off));
+  b.add_array(fib_section::kTableRuns, std::move(runs));
+  b.add_array(fib_section::kTableRelabel, std::move(relabel));
   return b.finish();
 }
 
@@ -145,9 +145,9 @@ FlatFib compile_fib(const DestinationTableScheme& scheme, const Graph& g) {
     row_off[u + 1] = static_cast<std::uint32_t>(runs.size());
   }
 
-  b.add_array(fib_section::kTableRowOff, row_off);
-  b.add_array(fib_section::kTableRuns, runs);
-  b.add_array(fib_section::kTableRelabel, relabel);
+  b.add_array(fib_section::kTableRowOff, std::move(row_off));
+  b.add_array(fib_section::kTableRuns, std::move(runs));
+  b.add_array(fib_section::kTableRelabel, std::move(relabel));
   return b.finish();
 }
 
@@ -223,12 +223,12 @@ FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow) {
 
   const std::vector<std::uint32_t> info{static_cast<std::uint32_t>(k)};
   b.add_array(fib_section::kMeshInfo, info);
-  b.add_array(fib_section::kMeshComp, comp);
-  b.add_array(fib_section::kMeshPeerPort, peer_port);
-  b.add_array(fib_section::kMeshNodes, nodes);
-  b.add_array(fib_section::kMeshLightPorts, light_ports);
-  b.add_array(fib_section::kMeshLabelOff, label_off);
-  b.add_array(fib_section::kMeshLabelSeq, label_seq);
+  b.add_array(fib_section::kMeshComp, std::move(comp));
+  b.add_array(fib_section::kMeshPeerPort, std::move(peer_port));
+  b.add_array(fib_section::kMeshNodes, std::move(nodes));
+  b.add_array(fib_section::kMeshLightPorts, std::move(light_ports));
+  b.add_array(fib_section::kMeshLabelOff, std::move(label_off));
+  b.add_array(fib_section::kMeshLabelSeq, std::move(label_seq));
   return b.finish();
 }
 

@@ -30,8 +30,10 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 
 namespace cpr {
 
@@ -44,7 +46,7 @@ class SvfcPeerMeshScheme;
 // Per-row slack reserved at compile time so apply_delta can grow a row
 // without relayout: capacity(v) = len(v) + row_slack_min +
 // floor(row_slack_frac * len(v)). The defaults reserve nothing — a
-// static compile stays exactly as tight as v1.
+// static compile carries no slack at all.
 struct FibCompileOptions {
   std::uint32_t row_slack_min = 0;
   double row_slack_frac = 0.0;
@@ -58,6 +60,36 @@ FlatFib compile_fib(const DestinationTableScheme& scheme, const Graph& g);
 // undirected view its ports are expressed in.
 FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow);
 
+// Capacity CSR shared by the Cowen and TZ adapters: row u holds
+// len_of(u) live entries plus the options' slack, row_off[u + 1] =
+// row_off[u] + len + slack, and row_len carries the live lengths so
+// apply_delta can grow or shrink a row inside its capacity without
+// relayout. Capacities are summed in u64: the arena stores u32 offsets,
+// so a total past UINT32_MAX (n ≈ 10^6 tables with churn slack reach
+// it) throws std::length_error here, before a single row slot exists.
+template <typename LenOf>
+void fib_capacity_csr(std::size_t n, const FibCompileOptions& opt,
+                      LenOf&& len_of, std::vector<std::uint32_t>& row_off,
+                      std::vector<std::uint32_t>& row_len) {
+  row_off.assign(n + 1, 0);
+  row_len.assign(n, 0);
+  std::uint64_t total = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const std::uint64_t len = len_of(u);
+    const std::uint64_t slack =
+        opt.row_slack_min +
+        static_cast<std::uint64_t>(opt.row_slack_frac *
+                                   static_cast<double>(len));
+    total += len + slack;
+    if (total > UINT32_MAX) {
+      throw std::length_error(
+          "compile_fib: row capacities exceed the arena's u32 offsets");
+    }
+    row_len[u] = static_cast<std::uint32_t>(len);
+    row_off[u + 1] = static_cast<std::uint32_t>(total);
+  }
+}
+
 // Cowen-shaped schemes: anything exposing the landmark-scheme surface
 // (sorted flat (target, port) tables plus the landmark label fields).
 template <typename S>
@@ -69,41 +101,36 @@ template <typename S>
 FlatFib compile_fib(const S& scheme, const Graph& g,
                     const FibCompileOptions& opt = {}) {
   const std::size_t n = g.node_count();
+  std::vector<std::uint32_t> row_off, row_len;
+  fib_capacity_csr(
+      n, opt, [&](NodeId u) { return scheme.table(u).size(); }, row_off,
+      row_len);
   FibBuilder b(FibKind::kCowen, n);
   b.add_topology(g);
-  // row_off is the capacity CSR (live length + reserved slack per row);
-  // the live lengths travel separately so apply_delta can grow or shrink
-  // a row inside its capacity without relayout.
-  std::vector<std::uint32_t> row_off(n + 1, 0);
-  std::vector<std::uint32_t> row_len(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const auto len = static_cast<std::uint32_t>(scheme.table(u).size());
-    row_len[u] = len;
-    const auto slack =
-        opt.row_slack_min +
-        static_cast<std::uint32_t>(opt.row_slack_frac * len);
-    row_off[u + 1] = row_off[u] + len + slack;
-  }
-  std::vector<std::uint64_t> rows(row_off[n], 0);  // slack stays zeroed
-  for (NodeId u = 0; u < n; ++u) {
-    std::size_t at = row_off[u];
-    for (const auto& [target, port] : scheme.table(u)) {
-      rows[at++] = fib_pack_entry(target, port);
-    }
-  }
   std::vector<std::uint32_t> landmark(n), landmark_port(n);
   for (NodeId v = 0; v < n; ++v) {
     landmark[v] = scheme.landmark_of(v);
     landmark_port[v] = scheme.port_at_landmark(v);
   }
   b.add_array(fib_section::kCowenRowOff, row_off);
-  b.add_array(fib_section::kCowenRowLen, row_len);
-  b.add_array(fib_section::kCowenRows, rows);
-  b.add_array(fib_section::kCowenLandmark, landmark);
-  b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
-  // The v3 Eytzinger mirror (kCowenRowsEyt) is synthesized by finish()
-  // from the sorted rows — one code path for compiles, patches and
-  // hand-assembled arenas keeps every v3 blob byte-identical.
+  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
+  // Rows are packed straight into the blob (slack stays zeroed there).
+  b.add_section_writer(
+      fib_section::kCowenRows, std::size_t{row_off[n]} * 8,
+      [&](std::uint8_t* dst) {
+        auto* rows = reinterpret_cast<std::uint64_t*>(dst);
+        for (NodeId u = 0; u < n; ++u) {
+          std::size_t at = row_off[u];
+          for (const auto& [target, port] : scheme.table(u)) {
+            rows[at++] = fib_pack_entry(target, port);
+          }
+        }
+      });
+  b.add_array(fib_section::kCowenLandmark, std::move(landmark));
+  b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
+  // The Eytzinger mirror (kCowenRowsEyt) is synthesized by finish() from
+  // the sorted rows — one code path for compiles, patches and
+  // hand-assembled arenas keeps every blob byte-identical.
   return b.finish();
 }
 
@@ -119,8 +146,7 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
 // label sections — kLabelMap (node → label permutation) and kDictionary
 // (the bucketed name → label table, rebuilt here from the label map with
 // the shared fib_dict_* helpers so the arena's resolution is
-// layout-identical to the scheme's own). finish() sees the label
-// sections and stamps the v4 magic.
+// layout-identical to the scheme's own).
 template <typename S>
   requires requires(const S& s, NodeId v, std::uint32_t lbl) {
     { s.labeled_table(v).size() } -> std::convertible_to<std::size_t>;
@@ -131,28 +157,14 @@ template <typename S>
 FlatFib compile_fib(const S& scheme, const Graph& g,
                     const FibCompileOptions& opt = {}) {
   const std::size_t n = g.node_count();
-  FibBuilder b(FibKind::kTz, n);
-  b.add_topology(g);
   // Same capacity-CSR layout as the Cowen adapter: live length + slack
   // per row, slack zeroed, so apply_delta can grow rows in place.
-  std::vector<std::uint32_t> row_off(n + 1, 0);
-  std::vector<std::uint32_t> row_len(n, 0);
-  for (NodeId u = 0; u < n; ++u) {
-    const auto len =
-        static_cast<std::uint32_t>(scheme.labeled_table(u).size());
-    row_len[u] = len;
-    const auto slack =
-        opt.row_slack_min +
-        static_cast<std::uint32_t>(opt.row_slack_frac * len);
-    row_off[u + 1] = row_off[u] + len + slack;
-  }
-  std::vector<std::uint64_t> rows(row_off[n], 0);
-  for (NodeId u = 0; u < n; ++u) {
-    std::size_t at = row_off[u];
-    for (const auto& [lbl, port] : scheme.labeled_table(u)) {
-      rows[at++] = fib_pack_entry(lbl, port);
-    }
-  }
+  std::vector<std::uint32_t> row_off, row_len;
+  fib_capacity_csr(
+      n, opt, [&](NodeId u) { return scheme.labeled_table(u).size(); },
+      row_off, row_len);
+  FibBuilder b(FibKind::kTz, n);
+  b.add_topology(g);
   // Landmark state indexed by label — the walker resolves a header to a
   // target label and reads these slots with that label directly.
   std::vector<std::uint32_t> landmark(n), landmark_port(n);
@@ -185,14 +197,23 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
               dict.begin() + 2 + static_cast<std::size_t>(bkt * bucket_cap));
   }
   b.add_array(fib_section::kCowenRowOff, row_off);
-  b.add_array(fib_section::kCowenRowLen, row_len);
-  b.add_array(fib_section::kCowenRows, rows);
-  b.add_array(fib_section::kCowenLandmark, landmark);
-  b.add_array(fib_section::kCowenLandmarkPort, landmark_port);
-  b.add_array(fib_section::kLabelMap, label_of);
-  b.add_array(fib_section::kDictionary, dict);
-  // finish() synthesizes the Eytzinger mirror from the label-keyed rows
-  // and stamps the v4 magic (label sections present).
+  b.add_array(fib_section::kCowenRowLen, std::move(row_len));
+  b.add_section_writer(
+      fib_section::kCowenRows, std::size_t{row_off[n]} * 8,
+      [&](std::uint8_t* dst) {
+        auto* rows = reinterpret_cast<std::uint64_t*>(dst);
+        for (NodeId u = 0; u < n; ++u) {
+          std::size_t at = row_off[u];
+          for (const auto& [lbl, port] : scheme.labeled_table(u)) {
+            rows[at++] = fib_pack_entry(lbl, port);
+          }
+        }
+      });
+  b.add_array(fib_section::kCowenLandmark, std::move(landmark));
+  b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
+  b.add_array(fib_section::kLabelMap, std::move(label_of));
+  b.add_array(fib_section::kDictionary, std::move(dict));
+  // finish() synthesizes the Eytzinger mirror from the label-keyed rows.
   return b.finish();
 }
 

@@ -1,7 +1,6 @@
 #include "fib/flat_fib.hpp"
 
 #include "fib/fib_delta.hpp"
-#include "util/bitstream.hpp"
 #include "util/hugepage.hpp"
 
 #include <atomic>
@@ -13,45 +12,28 @@ namespace cpr {
 namespace {
 
 // Blob layout (all little-endian, produced/consumed on the same arch):
-//   header   : magic "CPRFIB03" (8B), kind u32, node_count u32,
+//   header   : magic "CPRFIB05" (8B), kind u32, node_count u32,
 //              section_count u32, reserved u32, payload_bytes u64,
-//              checksum u64 (FNV-1a over the payload region)
+//              checksum u64 (fib_payload_checksum over the payload region)
 //   directory: per section {id u32, pad u32, offset u64, bytes u64};
 //              offset is relative to blob start and 64-byte aligned
 //   payload  : sections back to back, zero-padded to 64-byte boundaries
 //
-// v2 over v1: kMesh kind, kCowenRowLen is mandatory for kCowen and
-// kCowenRowOff describes row *capacities* (slack past row_len[v] must be
-// zero), and node_count == 0 is legal (degenerate graphs serialize).
+// kCowen and kTz arenas must carry kCowenRowLen (kCowenRowOff describes
+// row *capacities*; slack past row_len[v] must be zero) and
+// kCowenRowsEyt, the Eytzinger mirror of the sorted rows (same capacity
+// CSR, same zeroed slack). kTz additionally requires kLabelMap and
+// kDictionary. node_count == 0 is legal (degenerate graphs serialize).
 //
-// v3 over v2: kCowen arenas must carry kCowenRowsEyt, the Eytzinger
-// mirror of the sorted rows (same capacity CSR, same zeroed slack).
-// The loader still opens v2 blobs — readers fall back to binary search
-// over the sorted image when the mirror is absent — so a fleet can roll
-// forward without republishing every stored generation.
-//
-// v4 over v3: the label layer. kLabelMap (node→label permutation) and
-// kDictionary (hash-partitioned name→label buckets, fixed-capacity,
-// kFibDictEmpty fill) sections, both mandatory for the kTz kind, which
-// is only legal at v4. finish() emits v4 only when the arena carries
-// label state, so every pre-existing kind keeps producing byte-identical
-// v3 blobs and the pinned v2/v3 goldens stay valid.
-constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '3'};
-constexpr char kMagicV2[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '2'};
-constexpr char kMagicV4[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '4'};
+// Only this magic is accepted. Blobs carrying the older CPRFIB02/03/04
+// magics (no mandatory mirror, FNV-1a checksums) were only ever written
+// by earlier builds of this library; the loader names the magic and asks
+// for a recompile rather than keeping a second reader alive.
+constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '5'};
 constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8 + 8;  // 40
 constexpr std::size_t kDirEntryBytes = 4 + 4 + 8 + 8;    // 24
 constexpr std::size_t kChecksumOffset = 32;              // u64 in the header
 constexpr std::size_t kSectionAlign = 64;
-
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t nbytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 [[noreturn]] void fail(const std::string& what) {
   throw std::runtime_error("FlatFib: " + what);
@@ -154,26 +136,89 @@ void check_node_ids(const std::uint32_t* ids, std::size_t count,
   }
 }
 
-// In-order walk of the implicit BFS tree: descending left first visits
-// the slots in sorted-key order, so assigning sorted[i++] at each node
-// yields the Eytzinger permutation. Depth is log2(len), so the recursion
-// is shallow even for hub rows.
-std::uint32_t eytzinger_fill(const std::uint64_t* sorted, std::uint64_t* eyt,
-                             std::uint32_t len, std::uint32_t i,
-                             std::uint32_t k) {
-  if (k < len) {
-    i = eytzinger_fill(sorted, eyt, len, i, 2 * k + 1);
-    eyt[k] = sorted[i++];
-    i = eytzinger_fill(sorted, eyt, len, i, 2 * k + 2);
+// In-order walk of the implicit BFS tree over slots [0, len): visits
+// every slot k with its sorted rank i, in rank order — descending left
+// first meets the slots in sorted-key order, so eyt[k] = sorted[i] is the
+// Eytzinger permutation (eyt[0] the median, children of k at 2k+1 and
+// 2k+2). finish(), apply_delta and the loader's mirror check all walk
+// this one traversal, so a patched arena stays byte-identical to a fresh
+// compile of the same tables. Iterative over 1-based slot numbers: the
+// successor is the leftmost slot of the right subtree, or else the
+// ancestor reached by climbing past the trail of right-child links.
+template <typename Visit>
+void eytzinger_inorder(std::uint64_t len, Visit&& visit) {
+  if (len == 0) return;
+  std::uint64_t k = 1;
+  while (2 * k <= len) k *= 2;
+  for (std::uint64_t i = 0; i < len; ++i) {
+    visit(k - 1, i);
+    if (2 * k + 1 <= len) {
+      k = 2 * k + 1;
+      while (2 * k <= len) k *= 2;
+    } else {
+      k >>= __builtin_ctzll(~k) + 1;
+    }
   }
-  return i;
+}
+
+// XXH64 primes and lane round (xxhash.com spec, seed 0).
+constexpr std::uint64_t kXxP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kXxP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kXxP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kXxP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kXxP5 = 0x27D4EB2F165667C5ull;
+
+inline std::uint64_t rotl64(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+inline std::uint64_t xx_round(std::uint64_t acc, std::uint64_t input) {
+  return rotl64(acc + input * kXxP2, 31) * kXxP1;
+}
+inline std::uint64_t xx_merge(std::uint64_t acc, std::uint64_t lane) {
+  return (acc ^ xx_round(0, lane)) * kXxP1 + kXxP4;
+}
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
 }
 
 }  // namespace
 
-void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
-                               std::uint32_t len, std::uint64_t* eyt) {
-  eytzinger_fill(sorted, eyt, len, 0, 0);
+std::uint64_t fib_payload_checksum(const void* data, std::size_t bytes) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  const std::uint8_t* const end = p + bytes;
+  std::uint64_t h;
+  if (bytes >= 32) {
+    std::uint64_t v1 = kXxP1 + kXxP2, v2 = kXxP2, v3 = 0, v4 = 0 - kXxP1;
+    for (; end - p >= 32; p += 32) {
+      v1 = xx_round(v1, load_u64(p));
+      v2 = xx_round(v2, load_u64(p + 8));
+      v3 = xx_round(v3, load_u64(p + 16));
+      v4 = xx_round(v4, load_u64(p + 24));
+    }
+    h = rotl64(v1, 1) + rotl64(v2, 7) + rotl64(v3, 12) + rotl64(v4, 18);
+    h = xx_merge(xx_merge(xx_merge(xx_merge(h, v1), v2), v3), v4);
+  } else {
+    h = kXxP5;
+  }
+  h += bytes;
+  for (; end - p >= 8; p += 8) {
+    h = rotl64(h ^ xx_round(0, load_u64(p)), 27) * kXxP1 + kXxP4;
+  }
+  if (end - p >= 4) {
+    std::uint32_t w;
+    std::memcpy(&w, p, 4);
+    h = rotl64(h ^ (std::uint64_t{w} * kXxP1), 23) * kXxP2 + kXxP3;
+    p += 4;
+  }
+  for (; p < end; ++p) h = rotl64(h ^ (*p * kXxP5), 11) * kXxP1;
+  h ^= h >> 33;
+  h *= kXxP2;
+  h ^= h >> 29;
+  h *= kXxP3;
+  h ^= h >> 32;
+  return h;
 }
 
 FlatFib FlatFib::from_words(std::vector<std::uint64_t> words) {
@@ -219,15 +264,15 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   const std::uint8_t* base = fib.base_;
 
   if (avail < kHeaderBytes) fail("blob shorter than header");
-  if (std::memcmp(base, kMagic, 6) != 0) fail("bad magic");
-  if (std::memcmp(base + 6, kMagic + 6, 2) == 0) {
-    fib.version_ = 3;
-  } else if (std::memcmp(base + 6, kMagicV2 + 6, 2) == 0) {
-    fib.version_ = 2;  // pre-Eytzinger blob: served via binary search
-  } else if (std::memcmp(base + 6, kMagicV4 + 6, 2) == 0) {
-    fib.version_ = 4;  // label layer (kLabelMap / kDictionary sections)
-  } else {
-    fail("unsupported FIB blob version");
+  if (std::memcmp(base, kMagic, 8) != 0) {
+    for (const char* old : {"CPRFIB02", "CPRFIB03", "CPRFIB04"}) {
+      if (std::memcmp(base, old, 8) == 0) {
+        fail("blob magic " + std::string(old) +
+             " is an older format this build no longer reads (it accepts "
+             "only CPRFIB05); recompile the FIB and republish it");
+      }
+    }
+    fail("bad magic");
   }
 
   std::uint32_t kind_raw, node_count, section_count, reserved;
@@ -240,12 +285,6 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   std::memcpy(&checksum, base + kChecksumOffset, 8);
 
   if (kind_raw < 1 || kind_raw > 6) fail("unknown FIB kind");
-  // Name-independent arenas need the label sections v4 introduced; a
-  // pre-v4 blob claiming kTz is malformed, not merely old.
-  if (kind_raw == static_cast<std::uint32_t>(FibKind::kTz) &&
-      fib.version_ < 4) {
-    fail("tz arenas require blob version 4");
-  }
   if (reserved != 0) fail("reserved header field is nonzero");
   if (section_count == 0 || section_count > 64) fail("bad section count");
 
@@ -260,7 +299,7 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   // stale by design under churn): content checks are the snapshot
   // validator's job there, not the open's.
   if (fib.deep_validate_ &&
-      fnv1a(base + payload_begin, payload_bytes) != checksum) {
+      fib_payload_checksum(base + payload_begin, payload_bytes) != checksum) {
     fail("checksum mismatch");
   }
 
@@ -412,36 +451,31 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
           }
         }
       }
-      // v3 Eytzinger mirror: mandatory for v3 blobs, absent from v2 ones
-      // (the engine then binary-searches the sorted image). When present
-      // it shares the capacity CSR with kCowenRows and every live prefix
-      // must be exactly the Eytzinger permutation of the sorted prefix
-      // with zeroed slack — a stale or corrupted mirror can never serve
-      // different answers than the sorted rows.
+      // Eytzinger mirror: shares the capacity CSR with kCowenRows, and
+      // every live prefix must be exactly the Eytzinger permutation of
+      // the sorted prefix with zeroed slack — a stale or corrupted mirror
+      // can never serve different answers than the sorted rows.
       {
-        SectionRef er = (fib.version_ >= 3)
-                            ? dir.require(fs::kCowenRowsEyt, 8, rows)
-                            : dir.optional(fs::kCowenRowsEyt, 8, rows);
-        if (er.present) {
-          const auto* eyt = reinterpret_cast<const std::uint64_t*>(er.data);
-          std::vector<std::uint64_t> scratch;
-          for (std::size_t v = 0; fib.deep_validate_ && v < n; ++v) {
-            const std::uint32_t* ro = fib.cowen_.row_off;
-            const std::uint32_t len = fib.cowen_.row_len[v];
-            scratch.assign(len, 0);
-            fib_eytzinger_from_sorted(fib.cowen_.rows + ro[v], len,
-                                      scratch.data());
-            for (std::uint32_t i = 0; i < len; ++i) {
-              if (eyt[ro[v] + i] != scratch[i]) {
-                fail("cowen: Eytzinger mirror disagrees with sorted rows");
-              }
-            }
-            for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
-              if (eyt[i] != 0) fail("cowen: mirror slack is nonzero");
-            }
+        auto er = dir.require(fs::kCowenRowsEyt, 8, rows);
+        const auto* eyt = reinterpret_cast<const std::uint64_t*>(er.data);
+        for (std::size_t v = 0; fib.deep_validate_ && v < n; ++v) {
+          const std::uint32_t* ro = fib.cowen_.row_off;
+          const std::uint64_t* sorted = fib.cowen_.rows + ro[v];
+          const std::uint64_t* mirror = eyt + ro[v];
+          bool same = true;
+          eytzinger_inorder(fib.cowen_.row_len[v],
+                            [&](std::uint64_t k, std::uint64_t i) {
+                              same &= mirror[k] == sorted[i];
+                            });
+          if (!same) {
+            fail("cowen: Eytzinger mirror disagrees with sorted rows");
           }
-          fib.cowen_.eyt = eyt;
+          for (std::uint32_t i = ro[v] + fib.cowen_.row_len[v]; i < ro[v + 1];
+               ++i) {
+            if (eyt[i] != 0) fail("cowen: mirror slack is nonzero");
+          }
         }
+        fib.cowen_.eyt = eyt;
       }
       if (fib.kind_ == FibKind::kTz) {
         auto lmap = dir.require(fs::kLabelMap, 4, n);
@@ -597,7 +631,9 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
 
 FlatFib FlatFib::from_blob(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint64_t> words((bytes.size() + 7) / 8, 0);
-  std::memcpy(words.data(), bytes.data(), bytes.size());
+  // memcpy's pointers must be non-null even for zero bytes, and an empty
+  // span/vector may hand out nullptr.
+  if (!bytes.empty()) std::memcpy(words.data(), bytes.data(), bytes.size());
   return from_words(std::move(words));
 }
 
@@ -610,7 +646,6 @@ FlatFib::FlatFib(FlatFib&& other) noexcept
       writable_(other.writable_),
       bytes_(other.bytes_),
       payload_begin_(other.payload_begin_),
-      version_(other.version_),
       kind_(other.kind_),
       node_count_(other.node_count_),
       sections_(std::move(other.sections_)),
@@ -635,7 +670,6 @@ FlatFib& FlatFib::operator=(FlatFib&& other) noexcept {
     writable_ = other.writable_;
     bytes_ = other.bytes_;
     payload_begin_ = other.payload_begin_;
-    version_ = other.version_;
     kind_ = other.kind_;
     node_count_ = other.node_count_;
     sections_ = std::move(other.sections_);
@@ -664,8 +698,8 @@ std::uint8_t* FlatFib::section_ptr(std::uint32_t id) {
 
 void FlatFib::refresh_checksum() const {
   if (!writable_ || mutable_base_ == nullptr) return;  // foreign read-only
-  const std::uint64_t sum =
-      fnv1a(mutable_base_ + payload_begin_, bytes_ - payload_begin_);
+  const std::uint64_t sum = fib_payload_checksum(
+      mutable_base_ + payload_begin_, bytes_ - payload_begin_);
   std::memcpy(mutable_base_ + kChecksumOffset, &sum, 8);
   checksum_stale_ = false;
 }
@@ -754,12 +788,10 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmark));
   auto* landmark_port =
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmarkPort));
+  auto* eyt = reinterpret_cast<std::uint64_t*>(section_ptr(fs::kCowenRowsEyt));
   // section_ptr is nullptr for read-only arenas: mmap'd blobs are immutable
   // by contract, so a delta against one always reports "recompile".
-  if (!rows || !row_len || !landmark || !landmark_port) return false;
-  // nullptr for writable v2 arenas (no mirror to maintain); v3 arenas
-  // always have it — the loader rejects them otherwise.
-  auto* eyt = reinterpret_cast<std::uint64_t*>(section_ptr(fs::kCowenRowsEyt));
+  if (!rows || !row_len || !landmark || !landmark_port || !eyt) return false;
   // Label sections exist exactly on kTz arenas; their patches are
   // refused above for every other kind, so nullptr here is never
   // dereferenced.
@@ -785,7 +817,6 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
   // readers (who re-read the generation around every batch and retry on a
   // mismatch) race with them benignly rather than undefinedly.
   std::size_t applied = 0;
-  std::vector<std::uint64_t> sorted_scratch, eyt_scratch;
   for (const FibRowPatch& p : delta.patches) {
     if (applied++ == crash_after_patches_) {
       crash_after_patches_ = static_cast<std::size_t>(-1);  // one-shot
@@ -809,19 +840,13 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         // readers never observe one image patched and the other stale
         // (generation recheck discards any in-window view either way, but
         // the post-window arena must satisfy the loader's mirror check).
-        if (eyt != nullptr) {
-          sorted_scratch.resize(len);
-          std::memcpy(sorted_scratch.data(), p.bytes.data(), len * 8);
-          eyt_scratch.assign(len, 0);
-          fib_eytzinger_from_sorted(sorted_scratch.data(),
-                                    static_cast<std::uint32_t>(len),
-                                    eyt_scratch.data());
-          for (std::size_t i = 0; i < len; ++i) {
-            fib_seq_store_u64(eyt + begin + i, eyt_scratch[i]);
-          }
-          for (std::size_t i = len; i < cap; ++i) {
-            fib_seq_store_u64(eyt + begin + i, 0);
-          }
+        eytzinger_inorder(len, [&](std::uint64_t k, std::uint64_t i) {
+          std::uint64_t e;
+          std::memcpy(&e, p.bytes.data() + i * 8, 8);
+          fib_seq_store_u64(eyt + begin + k, e);
+        });
+        for (std::size_t i = len; i < cap; ++i) {
+          fib_seq_store_u64(eyt + begin + i, 0);
         }
         break;
       }
@@ -883,125 +908,111 @@ void FibBuilder::add_topology(const Graph& g) {
       edge[offsets[v] + p] = row[p].edge;
     }
   }
-  add_array(fib_section::kTopoOffsets, offsets);
-  add_array(fib_section::kTopoNeighbor, neighbor);
-  add_array(fib_section::kTopoEdge, edge);
+  add_array(fib_section::kTopoOffsets, std::move(offsets));
+  add_array(fib_section::kTopoNeighbor, std::move(neighbor));
+  add_array(fib_section::kTopoEdge, std::move(edge));
 }
 
-void FibBuilder::add_section(std::uint32_t id, const void* data,
-                             std::size_t nbytes) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  sections_.push_back({id, std::vector<std::uint8_t>(p, p + nbytes)});
+void FibBuilder::add_section_writer(std::uint32_t id, std::size_t nbytes,
+                                    SectionWriter write) {
+  sections_.push_back({id, nbytes, std::move(write)});
 }
 
 FlatFib FibBuilder::finish() {
-  // v3: kCowen (and kTz, which shares the row layout) arenas must carry
-  // the Eytzinger mirror. Synthesize it from the sorted rows when the
-  // caller did not add one explicitly — compile adapters and
-  // hand-assembled test arenas alike go through here, so no caller can
-  // produce a v3+ blob with a missing or inconsistent mirror. Appended
-  // last so older section ordering (and the golden v2 layout it was
-  // pinned from) is a strict prefix of the v3 layout. Shape checks are
-  // skipped here: a malformed arena fails the loader below anyway.
+  namespace fs = fib_section;
+  // kCowen and kTz arenas carry the Eytzinger mirror, appended last and
+  // filled below from the sorted rows once they sit in the blob.
+  bool mirrored = false;
+  std::size_t mirror_bytes = 0;
   if (kind_ == FibKind::kCowen || kind_ == FibKind::kTz) {
-    namespace fs = fib_section;
-    const Section* roff = nullptr;
-    const Section* rlen = nullptr;
-    const Section* rows = nullptr;
-    bool have_eyt = false;
     for (const auto& s : sections_) {
-      if (s.id == fs::kCowenRowOff) roff = &s;
-      if (s.id == fs::kCowenRowLen) rlen = &s;
-      if (s.id == fs::kCowenRows) rows = &s;
-      if (s.id == fs::kCowenRowsEyt) have_eyt = true;
-    }
-    if (!have_eyt && roff && rlen && rows &&
-        roff->bytes.size() == (node_count_ + 1) * 4 &&
-        rlen->bytes.size() == node_count_ * 4 && rows->bytes.size() % 8 == 0) {
-      std::vector<std::uint32_t> off(node_count_ + 1);
-      std::vector<std::uint32_t> len(node_count_);
-      std::vector<std::uint64_t> sorted(rows->bytes.size() / 8);
-      std::memcpy(off.data(), roff->bytes.data(), roff->bytes.size());
-      std::memcpy(len.data(), rlen->bytes.data(), rlen->bytes.size());
-      std::memcpy(sorted.data(), rows->bytes.data(), rows->bytes.size());
-      std::vector<std::uint64_t> eyt(sorted.size(), 0);
-      for (std::size_t v = 0; v < node_count_; ++v) {
-        if (off[v + 1] < off[v] || off[v + 1] > sorted.size() ||
-            len[v] > off[v + 1] - off[v]) {
-          break;  // malformed CSR: let the validating loader reject it
-        }
-        fib_eytzinger_from_sorted(sorted.data() + off[v], len[v],
-                                  eyt.data() + off[v]);
+      if (s.id == fs::kCowenRows) {
+        mirrored = true;
+        mirror_bytes = s.bytes;
       }
-      add_array(fs::kCowenRowsEyt, eyt);
     }
   }
+  if (mirrored) sections_.push_back({fs::kCowenRowsEyt, mirror_bytes, {}});
 
-  // Lay out offsets first so the directory can be written in one pass.
+  // Lay out every offset first, then allocate the blob exactly once.
   const std::size_t dir_end =
       kHeaderBytes + sections_.size() * kDirEntryBytes;
-  std::size_t cursor = align_up(dir_end, kSectionAlign);
-  const std::size_t payload_begin = cursor;
+  const std::size_t payload_begin = align_up(dir_end, kSectionAlign);
   std::vector<std::uint64_t> offsets;
   offsets.reserve(sections_.size());
+  std::size_t cursor = payload_begin;
   for (const auto& s : sections_) {
     offsets.push_back(cursor);
-    cursor = align_up(cursor + s.bytes.size(), kSectionAlign);
+    cursor = align_up(cursor + s.bytes, kSectionAlign);
   }
   const std::size_t total = cursor;
   const std::size_t payload_bytes = total - payload_begin;
 
-  // Assemble the payload region to checksum it before writing the header.
-  std::vector<std::uint8_t> payload(payload_bytes, 0);
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    std::memcpy(payload.data() + (offsets[i] - payload_begin),
-                sections_[i].bytes.data(), sections_[i].bytes.size());
-  }
-  const std::uint64_t checksum = fnv1a(payload.data(), payload.size());
+  // Reserve first so large blobs get huge-page backing before the zero
+  // fill faults them in; padding and row slack stay zero from here.
+  std::vector<std::uint64_t> words;
+  words.reserve(total / 8);
+  advise_huge_pages(words.data(), total);
+  words.resize(total / 8);
+  auto* base = reinterpret_cast<std::uint8_t*>(words.data());
 
-  // Emit the lowest version that carries the arena's sections: only the
-  // label layer (kTz, or explicit label sections on a future kind) needs
-  // the v4 magic, so every pre-existing kind keeps serializing
-  // byte-identically to its pinned v3 goldens.
-  bool has_label_sections = false;
-  for (const auto& s : sections_) {
-    if (s.id == fib_section::kLabelMap || s.id == fib_section::kDictionary) {
-      has_label_sections = true;
+  auto at = [&](std::uint32_t id) -> std::uint8_t* {
+    for (std::size_t i = 0; i < sections_.size(); ++i) {
+      if (sections_[i].id == id) return base + offsets[i];
+    }
+    return nullptr;
+  };
+  for (std::size_t i = 0; i < sections_.size(); ++i) {
+    if (sections_[i].write) sections_[i].write(base + offsets[i]);
+  }
+
+  // Mirror synthesis over the in-place rows. Shape checks only guard the
+  // reads here: a malformed arena keeps a zero mirror and fails the
+  // loader below anyway.
+  if (mirrored) {
+    const std::size_t n = node_count_;
+    const std::size_t row_slots = mirror_bytes / 8;
+    bool shaped = mirror_bytes % 8 == 0;
+    for (const auto& s : sections_) {
+      if (s.id == fs::kCowenRowOff) shaped &= s.bytes == (n + 1) * 4;
+      if (s.id == fs::kCowenRowLen) shaped &= s.bytes == n * 4;
+    }
+    const auto* off =
+        reinterpret_cast<const std::uint32_t*>(at(fs::kCowenRowOff));
+    const auto* len =
+        reinterpret_cast<const std::uint32_t*>(at(fs::kCowenRowLen));
+    const auto* sorted =
+        reinterpret_cast<const std::uint64_t*>(at(fs::kCowenRows));
+    auto* eyt = reinterpret_cast<std::uint64_t*>(at(fs::kCowenRowsEyt));
+    for (std::size_t v = 0; shaped && off && len && v < n; ++v) {
+      if (off[v + 1] < off[v] || off[v + 1] > row_slots ||
+          len[v] > off[v + 1] - off[v]) {
+        break;
+      }
+      eytzinger_inorder(len[v], [&](std::uint64_t k, std::uint64_t i) {
+        eyt[off[v] + k] = sorted[off[v] + i];
+      });
     }
   }
-  const bool v4 = kind_ == FibKind::kTz || has_label_sections;
 
-  BitWriter w;
-  w.write_raw(v4 ? kMagicV4 : kMagic, sizeof(kMagic));
-  const std::uint32_t kind_raw = static_cast<std::uint32_t>(kind_);
-  const std::uint32_t node_count = static_cast<std::uint32_t>(node_count_);
-  const std::uint32_t section_count =
-      static_cast<std::uint32_t>(sections_.size());
-  const std::uint32_t reserved = 0;
-  w.write_raw(&kind_raw, 4);
-  w.write_raw(&node_count, 4);
-  w.write_raw(&section_count, 4);
-  w.write_raw(&reserved, 4);
-  const std::uint64_t payload_bytes64 = payload_bytes;
-  w.write_raw(&payload_bytes64, 8);
-  w.write_raw(&checksum, 8);
+  const std::uint64_t checksum =
+      fib_payload_checksum(base + payload_begin, payload_bytes);
+  const auto put = [](std::uint8_t* dst, auto v) {
+    std::memcpy(dst, &v, sizeof(v));
+  };
+  std::memcpy(base, kMagic, sizeof(kMagic));
+  put(base + 8, static_cast<std::uint32_t>(kind_));
+  put(base + 12, static_cast<std::uint32_t>(node_count_));
+  put(base + 16, static_cast<std::uint32_t>(sections_.size()));
+  put(base + 20, std::uint32_t{0});  // reserved
+  put(base + 24, std::uint64_t{payload_bytes});
+  put(base + kChecksumOffset, checksum);
   for (std::size_t i = 0; i < sections_.size(); ++i) {
-    const std::uint32_t pad = 0;
-    const std::uint64_t off64 = offsets[i];
-    const std::uint64_t bytes64 = sections_[i].bytes.size();
-    w.write_raw(&sections_[i].id, 4);
-    w.write_raw(&pad, 4);
-    w.write_raw(&off64, 8);
-    w.write_raw(&bytes64, 8);
+    std::uint8_t* e = base + kHeaderBytes + i * kDirEntryBytes;
+    put(e, sections_[i].id);  // the pad u32 at e + 4 stays zero
+    put(e + 8, std::uint64_t{offsets[i]});
+    put(e + 16, std::uint64_t{sections_[i].bytes});
   }
-  // Zero-pad the directory tail out to the first section boundary, then
-  // append the payload region assembled above.
-  const std::vector<std::uint8_t> zeros(payload_begin - dir_end, 0);
-  w.write_raw(zeros.data(), zeros.size());
-  w.write_raw(payload.data(), payload.size());
-
-  std::vector<std::uint64_t> words((w.bytes().size() + 7) / 8, 0);
-  std::memcpy(words.data(), w.bytes().data(), w.bytes().size());
   return FlatFib::from_words(std::move(words));
 }
 

@@ -22,37 +22,48 @@
 //                shadow graph, a component-id array, and the root-to-root
 //                peering port matrix.
 //
-// The arena IS its serialized form: compile assembles the blob through
-// util/bitstream (bit-packed header + directory, raw aligned sections)
-// and then opens it with the same validating loader a reload uses, so a
-// FIB built once can be dumped with blob(), stored, and later re-opened
+// The arena IS its serialized form: compile lays the blob out once and
+// writes header, directory and sections straight into the final buffer,
+// then opens it with the same validating loader a reload uses, so a FIB
+// built once can be dumped with blob(), stored, and later re-opened
 // zero-copy — from_blob adopts the buffer and points typed views into it
 // without re-parsing a single element. No algebra, weights, or scheme
 // object is needed to serve queries (fib/forward_engine.hpp).
 //
-// Validation is total: magic/version/kind, section directory bounds,
-// FNV-1a checksum over the payload, and structural checks (monotone
-// offset arrays, neighbor/port ranges), so truncated or corrupted blobs
-// are rejected with std::runtime_error instead of misrouting packets.
+// Validation is total: magic/kind, section directory bounds, an XXH64
+// checksum over the payload (fib_payload_checksum), and structural
+// checks (monotone offset arrays, neighbor/port ranges), so truncated or
+// corrupted blobs are rejected with std::runtime_error instead of
+// misrouting packets.
 //
-// Blob format v2 ("CPRFIB02") additionally makes the arena *patchable in
-// place*: Cowen row offsets describe per-row capacity (compile-time
-// slack, FibCompileOptions) with a separate kCowenRowLen live-length
-// array, apply_delta() rewrites changed rows from a FibDelta without
-// recompiling, a generation counter (odd while a patch is in flight)
-// lets readers detect torn reads, and the payload checksum is refreshed
-// lazily on the next blob() call rather than per patch.
+// Blob format "CPRFIB05" is the only one this build writes or reads;
+// blobs carrying an older CPRFIB02/03/04 magic are rejected with an
+// error naming the magic (recompile and republish them). Its properties:
 //
-// Blob format v3 ("CPRFIB03") is the cache-conscious layout: kCowen
-// arenas carry an Eytzinger (BFS-order) mirror of every row's live
-// entries (kCowenRowsEyt, same capacity CSR as kCowenRows), so the hot
-// row search walks a branchless implicit tree whose first levels stay
-// resident in L1 across queries instead of a cache-cold binary search.
-// The sorted section remains the source of truth — apply_delta patches
-// both images inside one seqlock window, dumps re-validate both, and a
-// v2 blob (no mirror) still opens and serves through the binary-search
-// fallback. Large arenas additionally get transparent-huge-page backing
-// (util/hugepage.hpp) so random row probes stop paying dTLB misses.
+//   * Patchable in place: Cowen row offsets describe per-row capacity
+//     (compile-time slack, FibCompileOptions) with a separate
+//     kCowenRowLen live-length array, apply_delta() rewrites changed rows
+//     from a FibDelta without recompiling, a generation counter (odd
+//     while a patch is in flight) lets readers detect torn reads, and the
+//     payload checksum is refreshed lazily on the next blob() call rather
+//     than per patch.
+//   * Cache-conscious: kCowen/kTz arenas carry an Eytzinger (BFS-order)
+//     mirror of every row's live entries (kCowenRowsEyt, same capacity
+//     CSR as kCowenRows), so the hot row search walks a branchless
+//     implicit tree whose first levels stay resident in L1 across
+//     queries. The sorted section remains the source of truth —
+//     apply_delta patches both images inside one seqlock window and the
+//     loader re-derives the mirror from the sorted rows. Large arenas get
+//     transparent-huge-page backing (util/hugepage.hpp) so random row
+//     probes stop paying dTLB misses.
+//   * Label layer (routing/label.hpp): kLabelMap (node→label permutation)
+//     and kDictionary (hash-partitioned name→label buckets) sections,
+//     required for kTz arenas — Thorup–Zwick name-independent tables
+//     whose rows are keyed by *scheme-assigned labels* while queries
+//     arrive on external *names*. The walkers resolve a name through the
+//     dictionary once per query and then forward on labels; every other
+//     kind has no label sections and keeps its identity name==label fast
+//     path.
 //
 // Concurrency (the serving plane, docs/forwarding_plane.md "Serving from
 // shared arenas"): the generation counter is a real seqlock. One writer
@@ -70,17 +81,6 @@
 // cross-process readers of those files never see a torn row by
 // construction — new generations arrive as whole new files.
 //
-// Blob format v4 ("CPRFIB04") adds the label layer (routing/label.hpp):
-// optional kLabelMap (node→label permutation) and kDictionary
-// (hash-partitioned name→label buckets) sections, required for kTz
-// arenas — Thorup–Zwick name-independent tables whose rows are keyed by
-// *scheme-assigned labels* while queries arrive on external *names*.
-// The walkers resolve a name through the dictionary once per query and
-// then forward on labels; every pre-v4 kind has no label sections and
-// keeps its identity name==label fast path untouched (and its blobs
-// byte-identical — finish() emits the lowest magic that carries the
-// arena's sections). v2 and v3 blobs still open and serve unchanged.
-//
 // Cross-process patching (fib/patch_channel.hpp) lifts the same seqlock
 // across processes: from_shared opens an arena inside a MAP_SHARED
 // patch-channel segment whose seqlock word lives in the segment header
@@ -97,6 +97,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -110,7 +112,7 @@ enum class FibKind : std::uint32_t {
   kCowen = 3,     // landmark scheme tables
   kTable = 4,     // RLE destination tables (CompressedTableScheme)
   kMesh = 5,      // SVFC peer mesh (per-component trees + peering matrix)
-  kTz = 6,        // Thorup–Zwick name-independent landmark tables (v4):
+  kTz = 6,        // Thorup–Zwick name-independent landmark tables:
                   // Cowen-shaped rows keyed by *label*, plus a node→label
                   // map and a hash-partitioned name dictionary
 };
@@ -152,7 +154,7 @@ inline std::uint32_t fib_entry_port(std::uint64_t e) {
   return static_cast<std::uint32_t>(e);
 }
 
-// --- Name dictionary (v4 label layer) --------------------------------
+// --- Name dictionary (label layer) -----------------------------------
 //
 // A kTz arena carries the scheme's name→label resolution state so the
 // walkers can serve *names* (external node ids) without the scheme
@@ -197,20 +199,21 @@ inline std::uint64_t fib_dict_bucket_count(std::size_t node_count) {
 // it ~1.2x ahead of the scan at 8 entries and ~2x from 16 up (the scan
 // pays a branchy hit-check per 4-entry chunk), and DRAM-cold rows
 // ~1.45x at 16, widening to ~2.2x at 128. The cutoff stays at 16
-// anyway: short rows on the scan path never touch the mirror, which is
-// what lets mirror-less CPRFIB02 arenas serve at full speed for their
-// dominant row population, and it stays pinned equal to the CSR port
-// cutoff (asserted in tests/test_fib_simd.cpp, which also pins both
+// anyway: short rows on the scan path never touch the mirror, and it
+// stays pinned equal to the CSR port cutoff (asserted in tests/test_fib_simd.cpp, which also pins both
 // search paths differentially).
 inline constexpr std::uint32_t kRowSearchLinearCutoff = 16;
 
-// Fills eyt[0 .. len) with the Eytzinger (BFS implicit-tree) permutation
-// of the strictly-increasing packed rows sorted[0 .. len): eyt[0] is the
-// root (median), children of eyt[k] sit at 2k+1 / 2k+2. compile and
-// apply_delta both emit mirrors through this one function, so a patched
-// arena stays byte-identical to a fresh compile of the same tables.
-void fib_eytzinger_from_sorted(const std::uint64_t* sorted,
-                               std::uint32_t len, std::uint64_t* eyt);
+// Blob format version written and accepted: magic "CPRFIB05".
+inline constexpr std::uint32_t kFibBlobVersion = 5;
+
+// XXH64 (seed 0) of `bytes` bytes at `data`: the blob's payload checksum.
+// Every producer (FibBuilder::finish, blob()'s lazy refresh, the patch
+// channel's snapshot re-seal) and verifier (the loader) calls this one
+// function. Four independent 64-bit lanes over memcpy'd (unaligned-safe)
+// word loads run at memory bandwidth, where the byte-serial FNV-1a it
+// replaced was a dependent multiply chain.
+std::uint64_t fib_payload_checksum(const void* data, std::size_t bytes);
 
 // Seqlock-protected loads/stores of the mutable arena sections. The
 // patched slots (Cowen rows, row lengths, landmark labels) are written
@@ -264,9 +267,8 @@ class FlatFib {
     const std::uint32_t* row_off = nullptr;  // n + 1
     const std::uint32_t* row_len = nullptr;  // n (live entries per row)
     const std::uint64_t* rows = nullptr;     // packed (target, port), sorted
-    // v3: Eytzinger mirror of each row's live prefix, same capacity CSR
-    // (row_off) and zeroed slack as `rows`. nullptr for v2 blobs — the
-    // engine then binary-searches the sorted image instead.
+    // Eytzinger mirror of each row's live prefix, same capacity CSR
+    // (row_off) and zeroed slack as `rows`.
     const std::uint64_t* eyt = nullptr;
     const std::uint32_t* landmark = nullptr;       // landmark_of per node
     const std::uint32_t* landmark_port = nullptr;  // port_at_landmark per node
@@ -392,12 +394,9 @@ class FlatFib {
   FibKind kind() const { return kind_; }
   std::size_t node_count() const { return node_count_; }
   std::size_t byte_size() const { return bytes_; }
-  // 2 for a legacy "CPRFIB02" blob (no Eytzinger mirror), 3 for
-  // "CPRFIB03", 4 for "CPRFIB04" (label layer: kLabelMap/kDictionary
-  // sections; required for kTz). Writers emit the lowest version that
-  // carries the arena's sections, so label-free kinds keep producing
-  // byte-identical v3 blobs.
-  std::uint32_t blob_version() const { return version_; }
+  // Every arena this build opens is format version 5 ("CPRFIB05"); the
+  // loader rejects older magics.
+  std::uint32_t blob_version() const { return kFibBlobVersion; }
 
   const TopoView& topo() const { return topo_; }
   const TreeView& tree() const { return tree_; }
@@ -449,7 +448,6 @@ class FlatFib {
   bool writable_ = false;             // false: mmap'd/foreign, never patched
   std::size_t bytes_ = 0;             // meaningful prefix of the backing
   std::size_t payload_begin_ = 0;     // checksummed region [begin, bytes_)
-  std::uint32_t version_ = 3;         // blob format version (2, 3 or 4)
   FibKind kind_ = FibKind::kTree;
   std::size_t node_count_ = 0;
   std::vector<SectionEntry> sections_;
@@ -466,30 +464,40 @@ class FlatFib {
 };
 
 // Assembles a blob section by section; compile adapters (fib/compile.hpp)
-// drive it. add_section copies; finish serializes the header + directory
-// through util/bitstream, appends the aligned sections, then opens the
-// result with the validating loader — so every FlatFib in the process,
-// freshly compiled or reloaded, went through the same checks. For kCowen
-// and kTz arenas finish() synthesizes the v3 Eytzinger mirror
-// (kCowenRowsEyt) from the sorted rows when the caller did not add one
-// explicitly, so hand-assembled arenas (tests, tools) cannot produce a
-// v3+ blob with a missing or inconsistent mirror. finish() picks the
-// magic from the content: kTz (or any arena carrying label sections)
-// serializes as "CPRFIB04", everything else stays "CPRFIB03"
-// byte-for-byte.
+// drive it. Sections are recorded as (size, writer) pairs: finish() lays
+// the whole blob out first, allocates the final word buffer once, lets
+// every writer fill its section in place, writes header and directory
+// around them, checksums the payload where it lies, and opens the result
+// with the validating loader — so every FlatFib in the process, freshly
+// compiled or reloaded, went through the same checks. For kCowen and kTz
+// arenas finish() also synthesizes the Eytzinger mirror (kCowenRowsEyt)
+// in place from the sorted rows already in the buffer, so no caller can
+// produce a blob with a missing or inconsistent mirror.
 class FibBuilder {
  public:
+  // Fills one section's bytes at `dst` (zeroed, 64-byte aligned blob
+  // memory).
+  using SectionWriter = std::function<void(std::uint8_t* dst)>;
+
   FibBuilder(FibKind kind, std::size_t node_count);
 
   // Graph topology sections (CSR port rows), shared by every kind.
   void add_topology(const Graph& g);
 
-  void add_section(std::uint32_t id, const void* data, std::size_t nbytes);
-
+  // Takes the array by value: pass an rvalue to move it in uncopied.
   template <typename T>
-  void add_array(std::uint32_t id, const std::vector<T>& v) {
-    add_section(id, v.data(), v.size() * sizeof(T));
+  void add_array(std::uint32_t id, std::vector<T> v) {
+    const std::size_t nbytes = v.size() * sizeof(T);
+    add_section_writer(id, nbytes, [v = std::move(v)](std::uint8_t* dst) {
+      if (!v.empty()) std::memcpy(dst, v.data(), v.size() * sizeof(T));
+    });
   }
+
+  // Section whose bytes `write` produces straight into the blob during
+  // finish() — no staging copy. `write` runs before finish() returns, so
+  // it may capture the caller's locals by reference.
+  void add_section_writer(std::uint32_t id, std::size_t nbytes,
+                          SectionWriter write);
 
   FlatFib finish();
 
@@ -498,7 +506,8 @@ class FibBuilder {
   std::size_t node_count_;
   struct Section {
     std::uint32_t id;
-    std::vector<std::uint8_t> bytes;
+    std::size_t bytes;
+    SectionWriter write;
   };
   std::vector<Section> sections_;
 };
@@ -519,8 +528,8 @@ inline constexpr std::uint32_t kCowenRowOff = 30;
 inline constexpr std::uint32_t kCowenRows = 31;
 inline constexpr std::uint32_t kCowenLandmark = 32;
 inline constexpr std::uint32_t kCowenLandmarkPort = 33;
-inline constexpr std::uint32_t kCowenRowLen = 34;  // v2: live entries per row
-inline constexpr std::uint32_t kCowenRowsEyt = 35;  // v3: Eytzinger mirror
+inline constexpr std::uint32_t kCowenRowLen = 34;  // live entries per row
+inline constexpr std::uint32_t kCowenRowsEyt = 35;  // Eytzinger mirror
 inline constexpr std::uint32_t kTableRowOff = 40;
 inline constexpr std::uint32_t kTableRuns = 41;
 inline constexpr std::uint32_t kTableRelabel = 42;
@@ -531,7 +540,7 @@ inline constexpr std::uint32_t kMeshNodes = 53;      // FibTreeNode × (n + 1)
 inline constexpr std::uint32_t kMeshLightPorts = 54;
 inline constexpr std::uint32_t kMeshLabelOff = 55;   // n + 1
 inline constexpr std::uint32_t kMeshLabelSeq = 56;
-// v4 label layer (kTz; optional for future labeled kinds).
+// Label layer (kTz; optional for future labeled kinds).
 inline constexpr std::uint32_t kLabelMap = 60;     // u32[n] node → label
 inline constexpr std::uint32_t kDictionary = 61;   // bucketed name → label
 }  // namespace fib_section

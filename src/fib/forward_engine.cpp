@@ -597,35 +597,15 @@ inline bool cowen_eyt_search(const std::uint64_t* eyt, std::uint32_t len,
   return true;
 }
 
-// Non-atomic binary search over the sorted image: the v2-blob fallback
-// when no Eytzinger mirror exists. Same exact-match contract.
-inline bool cowen_bsearch(const std::uint64_t* row, std::uint32_t len,
-                          std::uint32_t key, std::uint32_t* port_out) {
-  const std::uint64_t probe = fib_pack_entry(key, 0xffffffffu);
-  std::uint32_t lo = 0, hi = len;
-  while (lo < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    if (row[mid] <= probe) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == 0 || fib_entry_key(row[lo - 1]) != key) return false;
-  *port_out = fib_entry_port(row[lo - 1]);
-  return true;
-}
-
 // Cowen walker for the lockstep path: same decision procedure as
 // CowenWalker (direct entry, the landmark's own hop, entry toward the
 // landmark) with the row probe selected per row length — vectorized scan
 // of the sorted image at or under kRowSearchLinearCutoff, branchless
-// Eytzinger search of the v3 mirror above it (binary search when serving
-// a v2 blob). Keys are unique per row, so every probe flavor agrees with
-// the scalar walker's search bit for bit. Loads are plain (not
-// atomic_ref): benign under the seqlock because row_off is immutable and
-// torn values are discarded by the generation recheck; TSan builds never
-// reach this type.
+// Eytzinger search of the mirror above it. Keys are unique per row, so
+// every probe flavor agrees with the scalar walker's search bit for bit.
+// Loads are plain (not atomic_ref): benign under the seqlock because
+// row_off is immutable and torn values are discarded by the generation
+// recheck; TSan builds never reach this type.
 struct CowenSimdWalker {
   const FlatFib::CowenView& t;
   NodeId target = kInvalidNode;
@@ -643,10 +623,7 @@ struct CowenSimdWalker {
     if (len <= kRowSearchLinearCutoff) {
       return cowen_scan_avx2(t.rows + off, len, key, port_out);
     }
-    if (t.eyt != nullptr) {
-      return cowen_eyt_search(t.eyt + off, len, key, port_out);
-    }
-    return cowen_bsearch(t.rows + off, len, key, port_out);
+    return cowen_eyt_search(t.eyt + off, len, key, port_out);
   }
   StepResult step(NodeId u) const {
     if (u == target) return {true, kInvalidPort};
@@ -661,7 +638,7 @@ struct CowenSimdWalker {
   void prefetch(NodeId v) const {
     const std::uint32_t off = t.row_off[v];
     CPR_PREFETCH(&t.rows[off]);
-    if (t.eyt != nullptr) CPR_PREFETCH(&t.eyt[off]);
+    CPR_PREFETCH(&t.eyt[off]);
   }
 };
 
@@ -714,10 +691,7 @@ struct TzSimdWalker {
     if (len <= kRowSearchLinearCutoff) {
       return cowen_scan_avx2(t.rows + off, len, key, port_out);
     }
-    if (t.eyt != nullptr) {
-      return cowen_eyt_search(t.eyt + off, len, key, port_out);
-    }
-    return cowen_bsearch(t.rows + off, len, key, port_out);
+    return cowen_eyt_search(t.eyt + off, len, key, port_out);
   }
   StepResult step(NodeId u) const {
     if (z.label_of[u] == target_label) return {true, kInvalidPort};
@@ -732,7 +706,7 @@ struct TzSimdWalker {
   void prefetch(NodeId v) const {
     const std::uint32_t off = t.row_off[v];
     CPR_PREFETCH(&t.rows[off]);
-    if (t.eyt != nullptr) CPR_PREFETCH(&t.eyt[off]);
+    CPR_PREFETCH(&t.eyt[off]);
   }
 };
 

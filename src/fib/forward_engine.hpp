@@ -41,7 +41,7 @@
 // independent dependent-load chains are in flight per step instead of
 // one, and the per-step next-hop resolution is batched with AVX2 where
 // it pays (gathered tree-record classification, vectorized short-row
-// scans, branchless Eytzinger search of the v3 mirror for long rows).
+// scans, branchless Eytzinger search of the mirror for long rows).
 // Lane grouping follows shard query order, so paths, results and their
 // layout are bit-identical to the scalar path by construction; the
 // differential suite (tests/test_fib_simd.cpp) holds both paths and the

@@ -37,7 +37,7 @@ void atomic_store_u64(std::uint8_t* p, std::uint64_t v) {
 }
 
 // Mirrors the FlatFib blob layout constants (flat_fib.cpp): 40-byte
-// header with the section count at +16 and the FNV checksum at +32,
+// header with the section count at +16 and the payload checksum at +32,
 // 24-byte directory entries from +40, payload 64-byte aligned. The
 // layout is pinned byte-for-byte by tests/test_blob_layout.cpp, so
 // parsing it here cannot drift silently.
@@ -46,17 +46,8 @@ constexpr std::size_t kBlobDirEntryBytes = 24;
 constexpr std::size_t kBlobChecksumOffset = 32;
 constexpr std::size_t kBlobSectionAlign = 64;
 
-std::uint64_t fnv1a(const std::uint8_t* data, std::size_t nbytes) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < nbytes; ++i) {
-    h ^= data[i];
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-// Re-seals the inner FNV payload checksum of a private blob copy: a
-// snapshot taken mid-churn carries patched rows but the pre-patch FNV
+// Re-seals the inner payload checksum of a private blob copy: a
+// snapshot taken mid-churn carries patched rows but the pre-patch sum
 // (flat_fib.hpp refreshes it lazily, never through the channel), so the
 // structural validation below would reject every patched snapshot on
 // the checksum alone. The segment's own position-weighted checksum has
@@ -72,7 +63,8 @@ bool reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes) {
       (dir_end + kBlobSectionAlign - 1) / kBlobSectionAlign *
       kBlobSectionAlign;
   if (payload_begin > bytes) return false;
-  const std::uint64_t sum = fnv1a(blob + payload_begin, bytes - payload_begin);
+  const std::uint64_t sum =
+      fib_payload_checksum(blob + payload_begin, bytes - payload_begin);
   std::memcpy(blob + kBlobChecksumOffset, &sum, 8);
   return true;
 }
@@ -97,7 +89,7 @@ std::uint64_t blob_section_offset(const std::uint8_t* blob, std::size_t bytes,
 }
 
 // Validates a snapshot copy end to end: segment checksum already held,
-// now the blob itself — re-seal the FNV and run FlatFib's full
+// now the blob itself — re-seal the payload checksum and run FlatFib's full
 // structural open against the private bytes.
 bool validate_blob_copy(std::vector<std::uint64_t>& words,
                         std::size_t payload_bytes) {
@@ -653,7 +645,7 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
         const std::size_t end = cw.row_off[p.row + 1];
         for (std::size_t i = begin; i < end; ++i) {
           words.push_back(rows_off_ / 8 + i);
-          if (eyt_off_ != 0) words.push_back(eyt_off_ / 8 + i);
+          words.push_back(eyt_off_ / 8 + i);
         }
         words.push_back((row_len_off_ + 4 * std::size_t{p.row}) / 8);
         break;

@@ -28,14 +28,14 @@
 // loads, and retry batches that overlap a window — a patched row is
 // served everywhere the moment the window closes, with zero republishes.
 //
-// Checksum discipline: the arena's own FNV-1a payload checksum goes
+// Checksum discipline: the arena's own XXH64 payload checksum goes
 // lazily stale under in-place patches (by design — see flat_fib.hpp), so
 // the segment header carries its own: sum over the blob's u64 words of
 // word[i] * (2*i + 1) (mod 2^64). The odd weights make it position-
 // sensitive, and additivity makes it incrementally maintainable — the
 // writer folds in (new - old) * weight for exactly the words a delta
 // touched, O(patch) not O(arena). It is a crash/torn-write detector, not
-// a cryptographic digest; the immutable .fib files keep the strong FNV.
+// a cryptographic digest; the immutable .fib files keep the full XXH64.
 // The checksum is updated AFTER the seqlock window closes, which turns
 // "writer died post-patch, pre-checksum" into a detectable state: seq is
 // even but the sum disagrees, so adopters discard the segment and fall
@@ -45,8 +45,8 @@
 // snapshot validation: copy the blob through relaxed atomic word loads
 // bracketed by two reads of `seq` (retry unless even and unchanged),
 // verify the header checksum against the copy, re-seal the copy's inner
-// FNV, and run FlatFib's full structural validation on the private
-// bytes. Only then is the *live* mapping served, via from_shared — which
+// payload checksum, and run FlatFib's full structural validation on the
+// private bytes. Only then is the *live* mapping served, via from_shared — which
 // skips content checks precisely because this snapshot already ran them.
 //
 // Failover: writers are fenced by flock(2) on <dir>/writer.lock — the
@@ -343,7 +343,7 @@ class PatchChannelWriter {
   // Blob-relative byte offsets of the patchable Cowen sections in the
   // mapped segment (parsed once per attach; the directory is immutable).
   std::uint64_t rows_off_ = 0;
-  std::uint64_t eyt_off_ = 0;       // 0 when the blob has no mirror (v2)
+  std::uint64_t eyt_off_ = 0;
   std::uint64_t row_len_off_ = 0;
   std::uint64_t landmark_off_ = 0;
   std::uint64_t landmark_port_off_ = 0;

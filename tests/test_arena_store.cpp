@@ -93,7 +93,7 @@ TEST(ArenaStore, PublishRoundTripsThroughMmap) {
       << "the mapped generation must serve bit-identically to its source";
 }
 
-// v4 (kTz) arenas flow through the same publish → mmap → serve pipeline:
+// kTz arenas flow through the same publish → mmap → serve pipeline:
 // the store is format-agnostic bytes, but the validating open on the
 // reader side must accept the label sections and serve name-addressed
 // queries bit-identically to the in-process arena.
@@ -105,7 +105,7 @@ TEST(ArenaStore, TzArenaPublishRoundTripsThroughMmap) {
       alg, inst.graph, inst.weights, inst.rng);
   const FlatFib fib = compile_fib(scheme, inst.graph,
                                   fib_churn_maintain_options().compile);
-  ASSERT_EQ(fib.blob_version(), 4u);
+  ASSERT_EQ(fib.blob_version(), 5u);
   const auto queries = all_pairs(fib.node_count());
   const std::uint64_t want = batch_hash(forward_batch(fib, queries));
 
@@ -116,9 +116,9 @@ TEST(ArenaStore, TzArenaPublishRoundTripsThroughMmap) {
   const auto arena = reader.current();
   ASSERT_NE(arena, nullptr);
   EXPECT_EQ(arena->fib().kind(), FibKind::kTz);
-  EXPECT_EQ(arena->fib().blob_version(), 4u);
+  EXPECT_EQ(arena->fib().blob_version(), 5u);
   EXPECT_EQ(batch_hash(forward_batch(arena->fib(), queries)), want)
-      << "the mapped v4 generation must serve bit-identically";
+      << "the mapped kTz generation must serve bit-identically";
 }
 
 TEST(ArenaStore, WriterCrashBeforeRenameLeavesOldGenerationCurrent) {

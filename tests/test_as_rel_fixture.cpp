@@ -92,7 +92,7 @@ TEST(AsRelFixture, UnderlayBuildsCompilesAndServesEndToEnd) {
   ASSERT_FALSE(scheme.labels().is_identity());
   const FlatFib fib = compile_fib(scheme, g);
   EXPECT_EQ(fib.kind(), FibKind::kTz);
-  EXPECT_EQ(fib.blob_version(), 4u);
+  EXPECT_EQ(fib.blob_version(), 5u);
 
   Rng qrng(7);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -144,7 +144,7 @@ TEST(AsRelFixture, UnderlayBuildsCompilesAndServesEndToEnd) {
   }
 
   // And the plain Cowen build on the same underlay still compiles and
-  // serves (the v3 pipeline the sweep used before the label layer).
+  // serves (the Cowen pipeline the sweep used before the label layer).
   Rng crng(2027);
   const auto cowen = CowenScheme<ShortestPath>::build(alg, g, w, crng);
   const FlatFib cfib = compile_fib(cowen, g);

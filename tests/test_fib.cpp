@@ -26,6 +26,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -216,7 +219,7 @@ void expect_every_byte_flip_rejected(const FlatFib& fib) {
   const std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
   // Every byte of the blob is guarded: header and directory fields by
   // explicit validation, padding by the all-zeros checks, sections by the
-  // FNV checksum. Flip one bit per byte position and expect a loud throw.
+  // XXH64 payload checksum. Flip one bit per byte position and expect a loud throw.
   for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
     std::vector<std::uint8_t> corrupt = bytes;
     corrupt[pos] ^= 0x20;
@@ -229,13 +232,37 @@ TEST(FibBlob, EveryByteFlipIsRejected) {
   expect_every_byte_flip_rejected(sample_fib());
 }
 
-// The v4 sections (label map, dictionary) are covered by the same FNV
-// checksum and the same structural validation as everything else; a v4
-// blob must reject every single-byte flip just like a v3 one.
+// The label sections (label map, dictionary) are covered by the same
+// payload checksum and the same structural validation as everything
+// else; a kTz blob must reject every single-byte flip just like a Cowen
+// one.
 TEST(FibBlob, TzEveryByteFlipIsRejected) {
   const FlatFib fib = sample_tz_fib();
-  ASSERT_EQ(fib.blob_version(), 4u);
+  ASSERT_EQ(fib.blob_version(), 5u);
   expect_every_byte_flip_rejected(fib);
+}
+
+// The payload checksum is XXH64 with seed 0, pinned by the published
+// test vectors so a producer and a verifier built from different
+// commits cannot silently disagree. The inputs cover the short path
+// (under 32 bytes: 1-byte, 4-byte and 8-byte tails) and the four-lane
+// stripe loop.
+TEST(FibBlob, PayloadChecksumIsXxh64) {
+  const auto xxh = [](const std::string& s) {
+    return fib_payload_checksum(s.data(), s.size());
+  };
+  EXPECT_EQ(xxh(""), 0xef46db3751d8e999ull);
+  EXPECT_EQ(xxh("a"), 0xd24ec4f1a98c6e5bull);
+  EXPECT_EQ(xxh("abc"), 0x44bc2cf5ad770999ull);
+  EXPECT_EQ(xxh("Nobody inspects the spammish repetition"),
+            0xfbcea83c8a378bf1ull);
+  // Unaligned input: the lanes load through memcpy, so the same bytes
+  // hash identically at any address.
+  const std::string text = "Nobody inspects the spammish repetition";
+  std::vector<char> shifted(text.size() + 1);
+  std::memcpy(shifted.data() + 1, text.data(), text.size());
+  EXPECT_EQ(fib_payload_checksum(shifted.data() + 1, text.size()),
+            0xfbcea83c8a378bf1ull);
 }
 
 TEST(FibBlob, TruncationIsRejected) {
@@ -257,9 +284,69 @@ TEST(FibBlob, EmptyAndGarbageInputsAreRejected) {
   EXPECT_THROW(FlatFib::from_blob(garbage), std::runtime_error);
 }
 
+// ---- Capacity CSR width ----
+//
+// The arena stores Cowen/TZ row offsets as u32. Row capacities (live
+// length + churn slack) are summed in u64 and a total past UINT32_MAX
+// must throw std::length_error before the row section is sized — at
+// n ≈ 10^6 with fib_churn_maintain_options() the u32 sum used to wrap,
+// undersize the rows and let compile write past them. The synthetic
+// schemes below only report table sizes; their tables iterate as empty,
+// so a regression would try a multi-GiB allocation instead of throwing,
+// never a silent pass.
+
+struct SizedTable {
+  std::size_t n = 0;
+  std::size_t size() const { return n; }
+  const std::pair<NodeId, Port>* begin() const { return nullptr; }
+  const std::pair<NodeId, Port>* end() const { return nullptr; }
+};
+
+struct HugeCowenTables {
+  std::vector<std::size_t> sizes;
+  SizedTable table(NodeId v) const { return {sizes[v]}; }
+  NodeId landmark_of(NodeId) const { return 0; }
+  Port port_at_landmark(NodeId) const { return kInvalidPort; }
+};
+
+struct HugeTzTables {
+  std::vector<std::size_t> sizes;
+  SizedTable labeled_table(NodeId v) const { return {sizes[v]}; }
+  std::uint32_t label_of_node(NodeId v) const { return v; }
+  std::uint32_t landmark_label_at(std::uint32_t) const { return 0; }
+  Port port_at_landmark_at(std::uint32_t) const { return kInvalidPort; }
+};
+
+Graph path3() {
+  Graph g(3);
+  g.add_edge(0, 1);
+  g.add_edge(1, 2);
+  return g;
+}
+
+TEST(FibCompileWidth, RowCapacitiesPastU32Throw) {
+  const Graph g = path3();
+  constexpr std::size_t kHalf = std::size_t{1} << 31;
+  // Live lengths alone wrap a u32 sum: 2^31 + 2^31 + 5 ≡ 5 (mod 2^32).
+  const std::vector<std::size_t> wrap = {kHalf, kHalf, 5};
+  EXPECT_THROW(compile_fib(HugeCowenTables{wrap}, g), std::length_error);
+  EXPECT_THROW(compile_fib(HugeTzTables{wrap}, g), std::length_error);
+
+  // Lengths fit (2^32 - 2 in total); the churn slack pushes it over.
+  const std::vector<std::size_t> fits = {kHalf - 1, kHalf - 1, 0};
+  FibCompileOptions slack;
+  slack.row_slack_min = 8;
+  EXPECT_THROW(compile_fib(HugeCowenTables{fits}, g, slack),
+               std::length_error);
+  EXPECT_THROW(compile_fib(HugeTzTables{fits}, g, slack), std::length_error);
+  EXPECT_THROW(compile_fib(HugeCowenTables{fits}, g,
+                           fib_churn_maintain_options().compile),
+               std::length_error);
+}
+
 // ---- Degenerate graphs ----
 //
-// v2 legalizes node_count == 0, and single-node / single-edge graphs hit
+// node_count == 0 is legal, and single-node / single-edge graphs hit
 // every boundary condition in the per-kind validators (empty CSRs,
 // sentinel-only offset arrays, rootless trees). Every compiled family
 // must round-trip through blob() → from_blob and keep forwarding.

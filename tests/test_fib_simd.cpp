@@ -33,6 +33,8 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -309,6 +311,30 @@ TEST(FibSimdLargeRows, TzEytzingerPathDispatchIdentical) {
 
 // ---- Mirror validation ----
 
+// Re-seals the header's payload checksum after byte surgery, so only the
+// deep validators can object to the corruption.
+void reseal_checksum(std::vector<std::uint8_t>& bytes) {
+  std::uint64_t payload_bytes = 0;
+  std::memcpy(&payload_bytes, bytes.data() + 24, 8);
+  const std::size_t payload_begin = bytes.size() - payload_bytes;
+  const std::uint64_t h =
+      fib_payload_checksum(bytes.data() + payload_begin, payload_bytes);
+  std::memcpy(bytes.data() + 32, &h, 8);
+}
+
+// The loader must reject `bytes`, and for the reason named by `why` — a
+// stale seal would be rejected too, by the checksum, proving nothing.
+void expect_rejected_for(const std::vector<std::uint8_t>& bytes,
+                         const std::string& why) {
+  try {
+    FlatFib::from_blob(bytes);
+    ADD_FAILURE() << "corrupted blob accepted (expected: " << why << ")";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(why), std::string::npos)
+        << "rejected for the wrong reason: " << e.what();
+  }
+}
+
 // Swapping two Eytzinger mirror entries (checksum patched up) must be
 // caught by the loader's mirror-recomputation check — a wrong mirror
 // would silently misroute exact-match lookups.
@@ -327,9 +353,6 @@ TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
   // offset u64, bytes u64.
   std::uint32_t section_count = 0;
   std::memcpy(&section_count, bytes.data() + 16, 4);
-  std::uint64_t payload_bytes = 0;
-  std::memcpy(&payload_bytes, bytes.data() + 24, 8);
-  const std::size_t payload_begin = bytes.size() - payload_bytes;
 
   std::uint64_t eyt_off = 0, eyt_bytes = 0;
   for (std::uint32_t s = 0; s < section_count; ++s) {
@@ -358,20 +381,15 @@ TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
   std::swap(eyt[at], eyt[at + 1]);
 
   // Re-seal the checksum so only the mirror check can object.
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = payload_begin; i < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  std::memcpy(bytes.data() + 32, &h, 8);
-
+  reseal_checksum(bytes);
   EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
+  expect_rejected_for(bytes, "Eytzinger mirror disagrees");
 }
 
-// ---- Label layer validation (v4 byte surgery) ----
+// ---- Label layer validation (byte surgery) ----
 //
 // Like the mirror test above, these corrupt a *semantic* invariant and
-// re-seal the FNV checksum, so only the deep validators can object: a
+// re-seal the payload checksum, so only the deep validators can object: a
 // label map that silently stopped being a permutation, or a dictionary
 // slot that disagrees with it, would misdeliver every packet whose name
 // resolves through the broken entry — to a plausible-looking wrong node.
@@ -398,18 +416,6 @@ SectionSpan locate_section(const std::vector<std::uint8_t>& bytes,
   return s;
 }
 
-void reseal_checksum(std::vector<std::uint8_t>& bytes) {
-  std::uint64_t payload_bytes = 0;
-  std::memcpy(&payload_bytes, bytes.data() + 24, 8);
-  const std::size_t payload_begin = bytes.size() - payload_bytes;
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = payload_begin; i < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 1099511628211ull;
-  }
-  std::memcpy(bytes.data() + 32, &h, 8);
-}
-
 std::vector<std::uint8_t> tz_blob_bytes() {
   const ShortestPath alg{16};
   auto inst = test::seeded_instance(alg, 11, kN, kP);
@@ -428,6 +434,7 @@ TEST(FibTzValidation, DuplicatedLabelInMapIsRejected) {
   labels[0] = labels[1];  // two nodes claim one label: not a permutation
   reseal_checksum(bytes);
   EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
+  expect_rejected_for(bytes, "label map is not a permutation");
 }
 
 TEST(FibTzValidation, DictionarySlotDisagreeingWithLabelMapIsRejected) {
@@ -454,6 +461,7 @@ TEST(FibTzValidation, DictionarySlotDisagreeingWithLabelMapIsRejected) {
   dict[2 + at] = fib_pack_entry(name, (label + 1) % n);
   reseal_checksum(bytes);
   EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
+  expect_rejected_for(bytes, "dictionary disagrees with label map");
 }
 
 // ---- The hot-destination cache probe (per-shard self-disable) ----

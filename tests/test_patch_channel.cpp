@@ -955,6 +955,15 @@ TEST(PatchChannelConcurrency, SnapshotsAndBatchesRaceALivePatcher) {
     }
   });
 
+  // Hold the first flip until both reader roles have completed at least
+  // one pass against the pristine mapping: on a loaded host the 64 flips
+  // can otherwise finish before a reader thread is first scheduled,
+  // leaving the race unexercised and the counters below at zero.
+  while (batches.load(std::memory_order_relaxed) == 0 ||
+         snapshots_ok.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
   // The patcher: 64 alternating flips of one landmark-port slot, each a
   // full cross-process patch (seqlock window + checksum fold).
   constexpr std::size_t kFlips = 64;

@@ -118,6 +118,13 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
     });
   }
 
+  // Hold the first event until a reader has finished a batch: on a
+  // loaded host the 12 events can otherwise all land before any reader
+  // thread is first scheduled, leaving the race unexercised.
+  while (batches.load(std::memory_order_relaxed) == 0) {
+    std::this_thread::yield();
+  }
+
   // The patcher: one thread, the single-writer contract.
   for (const auto& ev : trace) {
     started.fetch_add(1, std::memory_order_release);
