@@ -20,12 +20,10 @@
 //              either shows up against its own baseline key. On a
 //              machine without AVX2 the native flavor is skipped (with
 //              a warning) rather than silently rebadging scalar numbers.
-//   workload : the tree and cowen families additionally run a seeded
-//              Zipf(1.1) destination mix ("_zipf" families) next to the
-//              uniform one, and every suite reports the hot-destination
-//              cache on ("ns_per_hop_hot_cache") next to off — the skew
-//              is where the cache is supposed to win, the uniform run is
-//              where it must not hurt.
+//   workload : the tree, cowen and tz families additionally run a
+//              seeded Zipf(1.1) destination mix ("_zipf" families) next
+//              to the uniform one — skew concentrates the walk on a few
+//              hot rows, uniform spreads it over the whole arena.
 //
 // Usage: bench_forward [--quick] [--filter=substr] [--out=path]
 //                      [--baseline=path] [--dispatch=auto|scalar|simd]
@@ -80,10 +78,6 @@ struct SuiteResult {
   double ns_per_hop_paths = 0;
   double queries_per_s = 0;        // compiled, record_paths off (headline)
   double ns_per_hop = 0;
-  // Same stats-only batch with the per-shard hot-destination cache on;
-  // compare against ns_per_hop to see the (workload-dependent) win/cost.
-  double queries_per_s_hot_cache = 0;
-  double ns_per_hop_hot_cache = 0;
   double speedup_vs_object = 0;    // paths-on compiled vs object oracle
 };
 
@@ -204,24 +198,15 @@ void run_family(const char* base, const S& scheme, const Graph& g,
         const FibBatchOutput stats_only = forward_batch(fib, wl.queries, opt);
         const double nopaths_wall = now_seconds() - t0;
 
-        opt.hot_dest_cache = true;
-        t0 = now_seconds();
-        const FibBatchOutput cached = forward_batch(fib, wl.queries, opt);
-        const double cached_wall = now_seconds() - t0;
-
-        std::size_t delivered = 0, cached_delivered = 0;
+        std::size_t delivered = 0;
         for (const auto& res : stats_only.results) {
           r.hops += res.hops();
           delivered += res.delivered;
         }
-        for (const auto& res : cached.results) {
-          cached_delivered += res.delivered;
-        }
-        if (delivered != object_delivered || cached_delivered != delivered) {
+        if (delivered != object_delivered) {
           std::cerr << r.family << " n=" << r.n
                     << ": compiled delivered count diverges from oracle ("
-                    << delivered << "/" << cached_delivered << " vs "
-                    << object_delivered << ")\n";
+                    << delivered << " vs " << object_delivered << ")\n";
         }
 
         const double hops = static_cast<double>(r.hops);
@@ -230,8 +215,6 @@ void run_family(const char* base, const S& scheme, const Graph& g,
         r.ns_per_hop_paths = 1e9 * paths_wall / hops;
         r.queries_per_s = nq / nopaths_wall;
         r.ns_per_hop = 1e9 * nopaths_wall / hops;
-        r.queries_per_s_hot_cache = nq / cached_wall;
-        r.ns_per_hop_hot_cache = 1e9 * cached_wall / hops;
         r.speedup_vs_object = r.queries_per_s_paths / r.object_queries_per_s;
         out.push_back(std::move(r));
       }
@@ -332,10 +315,6 @@ void write_json(std::ostream& os, const std::vector<SuiteResult>& suites,
     os << "      \"ns_per_hop_paths\": " << s.ns_per_hop_paths << ",\n";
     os << "      \"queries_per_s\": " << s.queries_per_s << ",\n";
     os << "      \"ns_per_hop\": " << s.ns_per_hop << ",\n";
-    os << "      \"queries_per_s_hot_cache\": " << s.queries_per_s_hot_cache
-       << ",\n";
-    os << "      \"ns_per_hop_hot_cache\": " << s.ns_per_hop_hot_cache
-       << ",\n";
     os << "      \"speedup_vs_object\": " << s.speedup_vs_object << "\n";
     os << "    }" << (i + 1 < suites.size() ? "," : "") << "\n";
   }
@@ -350,9 +329,10 @@ void write_json(std::ostream& os, const std::vector<SuiteResult>& suites,
 // writer above emits suite fields in a fixed order, so a forward scan per
 // "family" occurrence recovers (family, n, threads, ns_per_hop) without a
 // JSON library. The needles are exact ("\"ns_per_hop\":" does not match
-// "ns_per_hop_paths" or "ns_per_hop_hot_cache"), and family names are
-// distinct per (workload, dispatch) flavor, so a v2 file self-compares
-// cleanly and a v1 baseline still matches its surviving native keys.
+// "ns_per_hop_paths", nor the "ns_per_hop_hot_cache" field of older
+// baselines), and family names are distinct per (workload, dispatch)
+// flavor, so a v2 file self-compares cleanly and a v1 baseline still
+// matches its surviving native keys.
 
 struct BaselineEntry {
   std::string family;
@@ -490,8 +470,7 @@ int main(int argc, char** argv) {
   for (const auto& s : suites) {
     std::cout << s.family << " n=" << s.n << " threads=" << s.threads
               << ": " << s.ns_per_hop << " ns/hop, " << s.queries_per_s
-              << " q/s (hot-cache " << s.ns_per_hop_hot_cache
-              << " ns/hop; object " << s.object_queries_per_s << " q/s, "
+              << " q/s (object " << s.object_queries_per_s << " q/s, "
               << s.speedup_vs_object << "x)\n";
   }
 

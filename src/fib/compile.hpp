@@ -90,6 +90,33 @@ void fib_capacity_csr(std::size_t n, const FibCompileOptions& opt,
   }
 }
 
+// Packs every row of `table_of(u)` — a sorted range of (key, port)
+// pairs — into the capacity CSR in Eytzinger order, straight into the
+// blob (the slack stays zeroed there). The in-order walk visits ranks
+// in increasing order, so one forward pass over the table fills it.
+// Shared by the Cowen and TZ adapters; `row_off` and whatever
+// `table_of` references must outlive b.finish(), which runs the writer.
+template <typename TableOf>
+void fib_add_rows(FibBuilder& b, std::size_t n,
+                  const std::vector<std::uint32_t>& row_off,
+                  TableOf table_of) {
+  b.add_section_writer(
+      fib_section::kCowenRows, std::size_t{row_off[n]} * 8,
+      [n, &row_off, table_of](std::uint8_t* dst) {
+        auto* rows = reinterpret_cast<std::uint64_t*>(dst);
+        for (NodeId u = 0; u < n; ++u) {
+          const auto& table = table_of(u);
+          std::uint64_t* row = rows + row_off[u];
+          auto it = table.begin();
+          fib_eytzinger_inorder(table.size(), [&](std::uint64_t k,
+                                                  std::uint64_t) {
+            row[k] = fib_pack_entry(it->first, it->second);
+            ++it;
+          });
+        }
+      });
+}
+
 // Cowen-shaped schemes: anything exposing the landmark-scheme surface
 // (sorted flat (target, port) tables plus the landmark label fields).
 template <typename S>
@@ -114,23 +141,11 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
   }
   b.add_array(fib_section::kCowenRowOff, row_off);
   b.add_array(fib_section::kCowenRowLen, std::move(row_len));
-  // Rows are packed straight into the blob (slack stays zeroed there).
-  b.add_section_writer(
-      fib_section::kCowenRows, std::size_t{row_off[n]} * 8,
-      [&](std::uint8_t* dst) {
-        auto* rows = reinterpret_cast<std::uint64_t*>(dst);
-        for (NodeId u = 0; u < n; ++u) {
-          std::size_t at = row_off[u];
-          for (const auto& [target, port] : scheme.table(u)) {
-            rows[at++] = fib_pack_entry(target, port);
-          }
-        }
-      });
+  fib_add_rows(b, n, row_off, [&](NodeId u) -> decltype(auto) {
+    return scheme.table(u);
+  });
   b.add_array(fib_section::kCowenLandmark, std::move(landmark));
   b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
-  // The Eytzinger mirror (kCowenRowsEyt) is synthesized by finish() from
-  // the sorted rows — one code path for compiles, patches and
-  // hand-assembled arenas keeps every blob byte-identical.
   return b.finish();
 }
 
@@ -198,22 +213,13 @@ FlatFib compile_fib(const S& scheme, const Graph& g,
   }
   b.add_array(fib_section::kCowenRowOff, row_off);
   b.add_array(fib_section::kCowenRowLen, std::move(row_len));
-  b.add_section_writer(
-      fib_section::kCowenRows, std::size_t{row_off[n]} * 8,
-      [&](std::uint8_t* dst) {
-        auto* rows = reinterpret_cast<std::uint64_t*>(dst);
-        for (NodeId u = 0; u < n; ++u) {
-          std::size_t at = row_off[u];
-          for (const auto& [lbl, port] : scheme.labeled_table(u)) {
-            rows[at++] = fib_pack_entry(lbl, port);
-          }
-        }
-      });
+  fib_add_rows(b, n, row_off, [&](NodeId u) -> decltype(auto) {
+    return scheme.labeled_table(u);
+  });
   b.add_array(fib_section::kCowenLandmark, std::move(landmark));
   b.add_array(fib_section::kCowenLandmarkPort, std::move(landmark_port));
   b.add_array(fib_section::kLabelMap, std::move(label_of));
   b.add_array(fib_section::kDictionary, std::move(dict));
-  // finish() synthesizes the Eytzinger mirror from the label-keyed rows.
   return b.finish();
 }
 

@@ -12,7 +12,7 @@ namespace cpr {
 namespace {
 
 // Blob layout (all little-endian, produced/consumed on the same arch):
-//   header   : magic "CPRFIB05" (8B), kind u32, node_count u32,
+//   header   : magic "CPRFIB06" (8B), kind u32, node_count u32,
 //              section_count u32, reserved u32, payload_bytes u64,
 //              checksum u64 (fib_payload_checksum over the payload region)
 //   directory: per section {id u32, pad u32, offset u64, bytes u64};
@@ -20,16 +20,17 @@ namespace {
 //   payload  : sections back to back, zero-padded to 64-byte boundaries
 //
 // kCowen and kTz arenas must carry kCowenRowLen (kCowenRowOff describes
-// row *capacities*; slack past row_len[v] must be zero) and
-// kCowenRowsEyt, the Eytzinger mirror of the sorted rows (same capacity
-// CSR, same zeroed slack). kTz additionally requires kLabelMap and
-// kDictionary. node_count == 0 is legal (degenerate graphs serialize).
+// row *capacities*; slack past row_len[v] must be zero), and every row's
+// live prefix in kCowenRows is in Eytzinger order. kTz additionally
+// requires kLabelMap and kDictionary. node_count == 0 is legal
+// (degenerate graphs serialize).
 //
-// Only this magic is accepted. Blobs carrying the older CPRFIB02/03/04
-// magics (no mandatory mirror, FNV-1a checksums) were only ever written
-// by earlier builds of this library; the loader names the magic and asks
-// for a recompile rather than keeping a second reader alive.
-constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '5'};
+// Only this magic is accepted. Blobs carrying the older CPRFIB02/03/04/05
+// magics (sorted rows, some with an Eytzinger mirror section, some with
+// FNV-1a checksums) were only ever written by earlier builds of this
+// library; the loader names the magic and asks for a recompile rather
+// than keeping a second reader alive.
+constexpr char kMagic[8] = {'C', 'P', 'R', 'F', 'I', 'B', '0', '6'};
 constexpr std::size_t kHeaderBytes = 8 + 4 * 4 + 8 + 8;  // 40
 constexpr std::size_t kDirEntryBytes = 4 + 4 + 8 + 8;    // 24
 constexpr std::size_t kChecksumOffset = 32;              // u64 in the header
@@ -90,17 +91,6 @@ class Directory {
     return r;
   }
 
-  // Section may be absent (r.present == false); when present it must
-  // hold exactly `count` elements of `elem_bytes`.
-  SectionRef optional(std::uint32_t id, std::size_t elem_bytes,
-                      std::size_t count) const {
-    SectionRef r = find(id);
-    if (r.present && r.bytes != elem_bytes * count) {
-      fail("section " + std::to_string(id) + " has wrong size");
-    }
-    return r;
-  }
-
  private:
   SectionRef find(std::uint32_t id) const {
     for (const auto& e : entries_) {
@@ -133,31 +123,6 @@ void check_node_ids(const std::uint32_t* ids, std::size_t count,
                     std::size_t n, const char* what) {
   for (std::size_t i = 0; i < count; ++i) {
     if (ids[i] >= n) fail(std::string(what) + ": node id out of range");
-  }
-}
-
-// In-order walk of the implicit BFS tree over slots [0, len): visits
-// every slot k with its sorted rank i, in rank order — descending left
-// first meets the slots in sorted-key order, so eyt[k] = sorted[i] is the
-// Eytzinger permutation (eyt[0] the median, children of k at 2k+1 and
-// 2k+2). finish(), apply_delta and the loader's mirror check all walk
-// this one traversal, so a patched arena stays byte-identical to a fresh
-// compile of the same tables. Iterative over 1-based slot numbers: the
-// successor is the leftmost slot of the right subtree, or else the
-// ancestor reached by climbing past the trail of right-child links.
-template <typename Visit>
-void eytzinger_inorder(std::uint64_t len, Visit&& visit) {
-  if (len == 0) return;
-  std::uint64_t k = 1;
-  while (2 * k <= len) k *= 2;
-  for (std::uint64_t i = 0; i < len; ++i) {
-    visit(k - 1, i);
-    if (2 * k + 1 <= len) {
-      k = 2 * k + 1;
-      while (2 * k <= len) k *= 2;
-    } else {
-      k >>= __builtin_ctzll(~k) + 1;
-    }
   }
 }
 
@@ -265,11 +230,11 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
 
   if (avail < kHeaderBytes) fail("blob shorter than header");
   if (std::memcmp(base, kMagic, 8) != 0) {
-    for (const char* old : {"CPRFIB02", "CPRFIB03", "CPRFIB04"}) {
+    for (const char* old : {"CPRFIB02", "CPRFIB03", "CPRFIB04", "CPRFIB05"}) {
       if (std::memcmp(base, old, 8) == 0) {
         fail("blob magic " + std::string(old) +
              " is an older format this build no longer reads (it accepts "
-             "only CPRFIB05); recompile the FIB and republish it");
+             "only CPRFIB06); recompile the FIB and republish it");
       }
     }
     fail("bad magic");
@@ -401,7 +366,7 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
       break;
     }
     // kTz shares the Cowen row machinery — capacity CSR, live-length
-    // array, landmark arrays, Eytzinger mirror — with keys drawn from
+    // array, landmark arrays — with keys drawn from
     // label space instead of node-id space (a bijection, so every range
     // check below still holds verbatim). On top it must carry the label
     // map and the name dictionary, validated after the shared block.
@@ -429,53 +394,30 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
       auto lmp = dir.require(fs::kCowenLandmarkPort, 4, n);
       fib.cowen_.landmark_port =
           reinterpret_cast<const std::uint32_t*>(lmp.data);
-      // row_off is the capacity CSR; the live prefix of each row must be
-      // strictly increasing by key and the slack tail zeroed (apply_delta
-      // keeps both invariants, so reload == fresh compile structurally).
-      // Skipped for live shared mappings: these sections are exactly the
-      // ones a concurrent writer patches.
+      // row_off is the capacity CSR; the in-order walk of each row's
+      // live prefix must be strictly increasing by key (it is a valid
+      // Eytzinger layout, so fib_row_find finds every key) and the slack
+      // tail zeroed (apply_delta keeps both invariants, so reload ==
+      // fresh compile structurally). Skipped for live shared mappings:
+      // these sections are exactly the ones a concurrent writer patches.
       if (fib.deep_validate_) {
         for (std::size_t v = 0; v < n; ++v) {
           const std::uint32_t* ro = fib.cowen_.row_off;
+          const std::uint64_t* row = fib.cowen_.rows + ro[v];
           const std::uint32_t cap = ro[v + 1] - ro[v];
           const std::uint32_t len = fib.cowen_.row_len[v];
           if (len > cap) fail("cowen: row length exceeds capacity");
-          for (std::uint32_t i = ro[v]; i + 1 < ro[v] + len; ++i) {
-            if (fib_entry_key(fib.cowen_.rows[i]) >=
-                fib_entry_key(fib.cowen_.rows[i + 1])) {
-              fail("cowen: row keys not strictly increasing");
+          std::uint64_t prev = 0;
+          fib_eytzinger_inorder(len, [&](std::uint64_t k, std::uint64_t i) {
+            if (i > 0 && fib_entry_key(row[k]) <= fib_entry_key(prev)) {
+              fail("cowen: row keys not in Eytzinger order");
             }
-          }
-          for (std::uint32_t i = ro[v] + len; i < ro[v + 1]; ++i) {
-            if (fib.cowen_.rows[i] != 0) fail("cowen: row slack is nonzero");
-          }
-        }
-      }
-      // Eytzinger mirror: shares the capacity CSR with kCowenRows, and
-      // every live prefix must be exactly the Eytzinger permutation of
-      // the sorted prefix with zeroed slack — a stale or corrupted mirror
-      // can never serve different answers than the sorted rows.
-      {
-        auto er = dir.require(fs::kCowenRowsEyt, 8, rows);
-        const auto* eyt = reinterpret_cast<const std::uint64_t*>(er.data);
-        for (std::size_t v = 0; fib.deep_validate_ && v < n; ++v) {
-          const std::uint32_t* ro = fib.cowen_.row_off;
-          const std::uint64_t* sorted = fib.cowen_.rows + ro[v];
-          const std::uint64_t* mirror = eyt + ro[v];
-          bool same = true;
-          eytzinger_inorder(fib.cowen_.row_len[v],
-                            [&](std::uint64_t k, std::uint64_t i) {
-                              same &= mirror[k] == sorted[i];
-                            });
-          if (!same) {
-            fail("cowen: Eytzinger mirror disagrees with sorted rows");
-          }
-          for (std::uint32_t i = ro[v] + fib.cowen_.row_len[v]; i < ro[v + 1];
-               ++i) {
-            if (eyt[i] != 0) fail("cowen: mirror slack is nonzero");
+            prev = row[k];
+          });
+          for (std::uint32_t i = len; i < cap; ++i) {
+            if (row[i] != 0) fail("cowen: row slack is nonzero");
           }
         }
-        fib.cowen_.eyt = eyt;
       }
       if (fib.kind_ == FibKind::kTz) {
         auto lmap = dir.require(fs::kLabelMap, 4, n);
@@ -788,10 +730,9 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmark));
   auto* landmark_port =
       reinterpret_cast<std::uint32_t*>(section_ptr(fs::kCowenLandmarkPort));
-  auto* eyt = reinterpret_cast<std::uint64_t*>(section_ptr(fs::kCowenRowsEyt));
   // section_ptr is nullptr for read-only arenas: mmap'd blobs are immutable
   // by contract, so a delta against one always reports "recompile".
-  if (!rows || !row_len || !landmark || !landmark_port || !eyt) return false;
+  if (!rows || !row_len || !landmark || !landmark_port) return false;
   // Label sections exist exactly on kTz arenas; their patches are
   // refused above for every other kind, so nullptr here is never
   // dereferenced.
@@ -827,27 +768,18 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         const std::size_t begin = cowen_.row_off[p.row];
         const std::size_t cap = cowen_.row_off[p.row + 1] - begin;
         const std::size_t len = p.bytes.size() / 8;
-        for (std::size_t i = 0; i < len; ++i) {
+        // The delta carries the row sorted; re-lay it in Eytzinger order
+        // in place, so the patched arena is byte-identical to a fresh
+        // compile of the same table.
+        fib_eytzinger_inorder(len, [&](std::uint64_t k, std::uint64_t i) {
           std::uint64_t e;
           std::memcpy(&e, p.bytes.data() + i * 8, 8);
-          fib_seq_store_u64(rows + begin + i, e);
-        }
+          fib_seq_store_u64(rows + begin + k, e);
+        });
         for (std::size_t i = len; i < cap; ++i) {
           fib_seq_store_u64(rows + begin + i, 0);
         }
         fib_seq_store_u32(row_len + p.row, static_cast<std::uint32_t>(len));
-        // Rewrite the Eytzinger mirror inside the same seqlock window so
-        // readers never observe one image patched and the other stale
-        // (generation recheck discards any in-window view either way, but
-        // the post-window arena must satisfy the loader's mirror check).
-        eytzinger_inorder(len, [&](std::uint64_t k, std::uint64_t i) {
-          std::uint64_t e;
-          std::memcpy(&e, p.bytes.data() + i * 8, 8);
-          fib_seq_store_u64(eyt + begin + k, e);
-        });
-        for (std::size_t i = len; i < cap; ++i) {
-          fib_seq_store_u64(eyt + begin + i, 0);
-        }
         break;
       }
       case fs::kCowenLandmark: {
@@ -919,21 +851,6 @@ void FibBuilder::add_section_writer(std::uint32_t id, std::size_t nbytes,
 }
 
 FlatFib FibBuilder::finish() {
-  namespace fs = fib_section;
-  // kCowen and kTz arenas carry the Eytzinger mirror, appended last and
-  // filled below from the sorted rows once they sit in the blob.
-  bool mirrored = false;
-  std::size_t mirror_bytes = 0;
-  if (kind_ == FibKind::kCowen || kind_ == FibKind::kTz) {
-    for (const auto& s : sections_) {
-      if (s.id == fs::kCowenRows) {
-        mirrored = true;
-        mirror_bytes = s.bytes;
-      }
-    }
-  }
-  if (mirrored) sections_.push_back({fs::kCowenRowsEyt, mirror_bytes, {}});
-
   // Lay out every offset first, then allocate the blob exactly once.
   const std::size_t dir_end =
       kHeaderBytes + sections_.size() * kDirEntryBytes;
@@ -956,43 +873,8 @@ FlatFib FibBuilder::finish() {
   words.resize(total / 8);
   auto* base = reinterpret_cast<std::uint8_t*>(words.data());
 
-  auto at = [&](std::uint32_t id) -> std::uint8_t* {
-    for (std::size_t i = 0; i < sections_.size(); ++i) {
-      if (sections_[i].id == id) return base + offsets[i];
-    }
-    return nullptr;
-  };
   for (std::size_t i = 0; i < sections_.size(); ++i) {
-    if (sections_[i].write) sections_[i].write(base + offsets[i]);
-  }
-
-  // Mirror synthesis over the in-place rows. Shape checks only guard the
-  // reads here: a malformed arena keeps a zero mirror and fails the
-  // loader below anyway.
-  if (mirrored) {
-    const std::size_t n = node_count_;
-    const std::size_t row_slots = mirror_bytes / 8;
-    bool shaped = mirror_bytes % 8 == 0;
-    for (const auto& s : sections_) {
-      if (s.id == fs::kCowenRowOff) shaped &= s.bytes == (n + 1) * 4;
-      if (s.id == fs::kCowenRowLen) shaped &= s.bytes == n * 4;
-    }
-    const auto* off =
-        reinterpret_cast<const std::uint32_t*>(at(fs::kCowenRowOff));
-    const auto* len =
-        reinterpret_cast<const std::uint32_t*>(at(fs::kCowenRowLen));
-    const auto* sorted =
-        reinterpret_cast<const std::uint64_t*>(at(fs::kCowenRows));
-    auto* eyt = reinterpret_cast<std::uint64_t*>(at(fs::kCowenRowsEyt));
-    for (std::size_t v = 0; shaped && off && len && v < n; ++v) {
-      if (off[v + 1] < off[v] || off[v + 1] > row_slots ||
-          len[v] > off[v + 1] - off[v]) {
-        break;
-      }
-      eytzinger_inorder(len[v], [&](std::uint64_t k, std::uint64_t i) {
-        eyt[off[v] + k] = sorted[off[v] + i];
-      });
-    }
+    sections_[i].write(base + offsets[i]);
   }
 
   const std::uint64_t checksum =

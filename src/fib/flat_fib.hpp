@@ -12,9 +12,10 @@
 //                ports) plus the per-target light-label sequences in CSR
 //                form (Theorem 1's O(log n)-bit state, flattened),
 //   interval   : per-node records plus child interval boundaries + ports,
-//   cowen      : per-node sorted (target, port) rows packed as one u64
-//                per entry, plus landmark and port-at-landmark arrays
-//                (Theorem 3's Õ(√n) tables, flattened),
+//   cowen      : per-node (target, port) rows packed as one u64 per
+//                entry in Eytzinger order, plus landmark and
+//                port-at-landmark arrays (Theorem 3's Õ(√n) tables,
+//                flattened),
 //   table      : run-length rows over label space (one u64 per run) plus
 //                the designer relabeling.
 //   mesh       : the SVFC peer-mesh plane (src/bgp): per-component
@@ -36,8 +37,8 @@
 // corrupted blobs are rejected with std::runtime_error instead of
 // misrouting packets.
 //
-// Blob format "CPRFIB05" is the only one this build writes or reads;
-// blobs carrying an older CPRFIB02/03/04 magic are rejected with an
+// Blob format "CPRFIB06" is the only one this build writes or reads;
+// blobs carrying an older CPRFIB02/03/04/05 magic are rejected with an
 // error naming the magic (recompile and republish them). Its properties:
 //
 //   * Patchable in place: Cowen row offsets describe per-row capacity
@@ -47,15 +48,14 @@
 //     while a patch is in flight) lets readers detect torn reads, and the
 //     payload checksum is refreshed lazily on the next blob() call rather
 //     than per patch.
-//   * Cache-conscious: kCowen/kTz arenas carry an Eytzinger (BFS-order)
-//     mirror of every row's live entries (kCowenRowsEyt, same capacity
-//     CSR as kCowenRows), so the hot row search walks a branchless
-//     implicit tree whose first levels stay resident in L1 across
-//     queries. The sorted section remains the source of truth —
-//     apply_delta patches both images inside one seqlock window and the
-//     loader re-derives the mirror from the sorted rows. Large arenas get
-//     transparent-huge-page backing (util/hugepage.hpp) so random row
-//     probes stop paying dTLB misses.
+//   * One row image: kCowenRows stores each row's live prefix once, in
+//     Eytzinger (BFS) order (fib_eytzinger_inorder), so the one row
+//     search (fib_row_find) walks a branchless implicit tree whose first
+//     levels stay resident in L1 across queries. The compile adapters
+//     write rows straight into that order, apply_delta re-lays a patched
+//     row in place, and the loader checks every row's in-order walk.
+//     Large arenas get transparent-huge-page backing (util/hugepage.hpp)
+//     so random row probes stop paying dTLB misses.
 //   * Label layer (routing/label.hpp): kLabelMap (node→label permutation)
 //     and kDictionary (hash-partitioned name→label buckets) sections,
 //     required for kTz arenas — Thorup–Zwick name-independent tables
@@ -70,9 +70,10 @@
 // at a time may call apply_delta while forward_batch readers are in
 // flight on other threads; the writer makes the generation odd, rewrites
 // the patched slots with relaxed atomic stores, and publishes the even
-// successor with release ordering. Readers load the mutable Cowen
-// sections through the same relaxed atomics (fib_seq_load_*; free on
-// x86-64 — an aligned mov either way) and revalidate the generation
+// successor with release ordering. Scalar readers load the mutable Cowen
+// sections through the same relaxed atomics (fib_load<true>; free on
+// x86-64 — an aligned mov either way), the lockstep readers through
+// plain loads of the same bytes, and both revalidate the generation
 // after the walk, retrying instead of serving a torn view. The protocol
 // is single-writer: concurrent apply_delta calls must be serialized by
 // the caller (MaintainedFib does). Arenas opened over foreign read-only
@@ -142,7 +143,7 @@ struct FibIntervalNode {
 static_assert(sizeof(FibIntervalNode) == 16);
 
 // One (key, port) row entry packed into a u64: key in the high 32 bits,
-// port in the low 32. Rows sorted by key binary-search as plain integer
+// port in the low 32. Rows ordered by key search with plain integer
 // compares (keys are unique per row, so the port bits never decide).
 inline std::uint64_t fib_pack_entry(std::uint32_t key, std::uint32_t port) {
   return (std::uint64_t{key} << 32) | port;
@@ -190,22 +191,8 @@ inline std::uint64_t fib_dict_bucket_count(std::size_t node_count) {
   return std::max<std::uint64_t>(1, (node_count + 3) / 4);
 }
 
-// Row-search layout crossover, the packed-row analog of
-// CsrGraph::kPortToLinearScanCutoff (graph/csr_graph.hpp): rows with at
-// most this many live entries are scanned (4-wide AVX2 compare over the
-// sorted image); longer rows search the Eytzinger mirror. Measured on
-// the serving machine (Xeon @2.10 GHz, Release, random hit probes): the
-// branchless mirror descent is never slower — cache-resident rows put
-// it ~1.2x ahead of the scan at 8 entries and ~2x from 16 up (the scan
-// pays a branchy hit-check per 4-entry chunk), and DRAM-cold rows
-// ~1.45x at 16, widening to ~2.2x at 128. The cutoff stays at 16
-// anyway: short rows on the scan path never touch the mirror, and it
-// stays pinned equal to the CSR port cutoff (asserted in tests/test_fib_simd.cpp, which also pins both
-// search paths differentially).
-inline constexpr std::uint32_t kRowSearchLinearCutoff = 16;
-
-// Blob format version written and accepted: magic "CPRFIB05".
-inline constexpr std::uint32_t kFibBlobVersion = 5;
+// Blob format version written and accepted: magic "CPRFIB06".
+inline constexpr std::uint32_t kFibBlobVersion = 6;
 
 // XXH64 (seed 0) of `bytes` bytes at `data`: the blob's payload checksum.
 // Every producer (FibBuilder::finish, blob()'s lazy refresh, the patch
@@ -238,6 +225,81 @@ inline void fib_seq_store_u32(std::uint32_t* p, std::uint32_t v) {
   std::atomic_ref<std::uint32_t>(*p).store(v, std::memory_order_relaxed);
 }
 
+// Load flavour of the forwarding walkers: kSeqlock = true goes through
+// the relaxed atomics above (the scalar path, the one TSan checks),
+// false is a plain load (the lockstep path, which TSan builds compile
+// out — there the compiler is free to schedule the loads of eight lanes
+// together). Both read the same bytes; a torn value is discarded by the
+// generation recheck either way.
+template <bool kSeqlock, typename T>
+inline T fib_load(const T* p) {
+  if constexpr (kSeqlock) {
+    return std::atomic_ref<T>(*const_cast<T*>(p))
+        .load(std::memory_order_relaxed);
+  } else {
+    return *p;
+  }
+}
+
+// --- Row layout (kCowenRows) ----------------------------------------
+//
+// Each Cowen/TZ row's live prefix of len entries is stored in Eytzinger
+// order: slot 0 holds the median, the children of slot k sit at 2k+1
+// and 2k+2, and an in-order walk of that implicit tree meets the keys in
+// strictly increasing order. The slack past len is zero.
+//
+// fib_eytzinger_inorder visits every slot k with its sorted rank i, in
+// rank order — descending left first meets the slots in sorted-key
+// order, so row[k] = sorted[i] lays a sorted row out. It is the only
+// layout code: the compile adapters, apply_delta and the loader's row
+// check all walk it, so a patched arena stays byte-identical to a fresh
+// compile of the same tables. Iterative over 1-based slot numbers: the
+// successor is the leftmost slot of the right subtree, or else the
+// ancestor reached by climbing past the trail of right-child links.
+template <typename Visit>
+void fib_eytzinger_inorder(std::uint64_t len, Visit&& visit) {
+  if (len == 0) return;
+  std::uint64_t k = 1;
+  while (2 * k <= len) k *= 2;
+  for (std::uint64_t i = 0; i < len; ++i) {
+    visit(k - 1, i);
+    if (2 * k + 1 <= len) {
+      k = 2 * k + 1;
+      while (2 * k <= len) k *= 2;
+    } else {
+      k >>= __builtin_ctzll(~k) + 1;
+    }
+  }
+}
+
+// The one row search: exact match of `key` in a row of `len` live
+// entries in Eytzinger order; writes the entry's port and returns true
+// on a hit. The probe pack(key, 0) sorts before every entry with that
+// key (ports occupy the low half), so the lower-bound slot is the exact
+// match when one exists. The descent is one compare-add per level with
+// no data-dependent branch, prefetching two levels ahead; the ffs trick
+// recovers the lower bound's 1-based slot from the trail of right
+// turns. Only slots below len are read, so the zeroed slack can never
+// match key 0, and a torn len (any value a writer stored is within the
+// row's capacity) cannot leave the row.
+template <bool kSeqlock>
+inline bool fib_row_find(const std::uint64_t* row, std::uint32_t len,
+                         std::uint32_t key, std::uint32_t* port_out) {
+  const std::uint64_t probe = fib_pack_entry(key, 0);
+  std::uint64_t k = 1;
+  while (k <= len) {
+    __builtin_prefetch(row + std::min<std::uint64_t>(4 * k - 1, len - 1), 0,
+                       1);
+    k = 2 * k + (fib_load<kSeqlock>(row + k - 1) < probe);
+  }
+  k >>= __builtin_ffsll(static_cast<long long>(~k));
+  if (k == 0) return false;
+  const std::uint64_t e = fib_load<kSeqlock>(row + k - 1);
+  if (fib_entry_key(e) != key) return false;
+  *port_out = fib_entry_port(e);
+  return true;
+}
+
 class FlatFib {
  public:
   // Typed views into the arena. Pointers alias the owned blob; they are
@@ -266,10 +328,7 @@ class FlatFib {
     // entries and the rest are zeroed slack reserved for apply_delta.
     const std::uint32_t* row_off = nullptr;  // n + 1
     const std::uint32_t* row_len = nullptr;  // n (live entries per row)
-    const std::uint64_t* rows = nullptr;     // packed (target, port), sorted
-    // Eytzinger mirror of each row's live prefix, same capacity CSR
-    // (row_off) and zeroed slack as `rows`.
-    const std::uint64_t* eyt = nullptr;
+    const std::uint64_t* rows = nullptr;     // packed (target, port), Eytzinger
     const std::uint32_t* landmark = nullptr;       // landmark_of per node
     const std::uint32_t* landmark_port = nullptr;  // port_at_landmark per node
   };
@@ -394,7 +453,7 @@ class FlatFib {
   FibKind kind() const { return kind_; }
   std::size_t node_count() const { return node_count_; }
   std::size_t byte_size() const { return bytes_; }
-  // Every arena this build opens is format version 5 ("CPRFIB05"); the
+  // Every arena this build opens is format version 6 ("CPRFIB06"); the
   // loader rejects older magics.
   std::uint32_t blob_version() const { return kFibBlobVersion; }
 
@@ -469,10 +528,9 @@ class FlatFib {
 // every writer fill its section in place, writes header and directory
 // around them, checksums the payload where it lies, and opens the result
 // with the validating loader — so every FlatFib in the process, freshly
-// compiled or reloaded, went through the same checks. For kCowen and kTz
-// arenas finish() also synthesizes the Eytzinger mirror (kCowenRowsEyt)
-// in place from the sorted rows already in the buffer, so no caller can
-// produce a blob with a missing or inconsistent mirror.
+// compiled or reloaded, went through the same checks. kCowenRows bytes
+// must already be in Eytzinger order (fib_eytzinger_inorder); the loader
+// rejects a row whose in-order walk is not strictly increasing.
 class FibBuilder {
  public:
   // Fills one section's bytes at `dst` (zeroed, 64-byte aligned blob
@@ -525,11 +583,10 @@ inline constexpr std::uint32_t kIntervalNodes = 20;
 inline constexpr std::uint32_t kIntervalChildIn = 21;
 inline constexpr std::uint32_t kIntervalChildPort = 22;
 inline constexpr std::uint32_t kCowenRowOff = 30;
-inline constexpr std::uint32_t kCowenRows = 31;
+inline constexpr std::uint32_t kCowenRows = 31;  // Eytzinger-order rows
 inline constexpr std::uint32_t kCowenLandmark = 32;
 inline constexpr std::uint32_t kCowenLandmarkPort = 33;
 inline constexpr std::uint32_t kCowenRowLen = 34;  // live entries per row
-inline constexpr std::uint32_t kCowenRowsEyt = 35;  // Eytzinger mirror
 inline constexpr std::uint32_t kTableRowOff = 40;
 inline constexpr std::uint32_t kTableRuns = 41;
 inline constexpr std::uint32_t kTableRelabel = 42;

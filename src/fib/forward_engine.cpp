@@ -8,7 +8,7 @@
 #include <thread>
 #include <type_traits>
 
-// TSan cannot see that the SIMD path's plain vector loads race benignly
+// TSan cannot see that the lockstep path's plain loads race benignly
 // with apply_delta's relaxed atomic stores (the generation recheck
 // discards any in-window value, and row_off — the only thing that could
 // send a load out of bounds — is immutable), so under TSan the SIMD path
@@ -39,18 +39,6 @@ namespace {
 #else
 #define CPR_PREFETCH(addr) ((void)0)
 #endif
-
-// Last entry in [begin, end) whose key is <= key, or nullptr. Rows are
-// strictly increasing by key, so this is the containing-run / exact-match
-// primitive for both row kinds.
-inline const std::uint64_t* row_search(const std::uint64_t* begin,
-                                       const std::uint64_t* end,
-                                       std::uint32_t key) {
-  // upper_bound on (key, max-port): everything <= key precedes it.
-  const std::uint64_t probe = fib_pack_entry(key, 0xffffffffu);
-  const std::uint64_t* it = std::upper_bound(begin, end, probe);
-  return it == begin ? nullptr : it - 1;
-}
 
 struct StepResult {
   bool deliver = false;
@@ -115,34 +103,17 @@ struct IntervalWalker {
   void prefetch(NodeId v) const { CPR_PREFETCH(&t.nodes[v]); }
 };
 
-// Last live entry with key <= `key`, loaded atomically; returns false
-// when the row has no such entry. Same contract as row_search. Shared by
-// the Cowen walker and the TZ walker (whose keys are labels).
-inline bool seq_row_search(const std::uint64_t* row, std::uint32_t len,
-                           std::uint32_t key, std::uint64_t* out) {
-  const std::uint64_t probe = fib_pack_entry(key, 0xffffffffu);
-  std::uint32_t lo = 0, hi = len;
-  while (lo < hi) {
-    const std::uint32_t mid = (lo + hi) / 2;
-    if (fib_seq_load_u64(row + mid) <= probe) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == 0) return false;
-  *out = fib_seq_load_u64(row + lo - 1);
-  return true;
-}
-
-// Cowen and TZ are the kinds apply_delta patches, so their walkers are
-// the only ones that read the arena through the seqlock load helpers:
-// every probe of rows / row_len / landmark / landmark_port is a relaxed
-// atomic load racing benignly with a concurrent writer. A torn window
-// can hand back a stale-or-new mixture of values — never out-of-bounds,
-// since row_off is the immutable capacity CSR and any stored row_len is
-// within it — and the generation recheck after the batch discards the
-// whole result.
+// Cowen and TZ are the kinds apply_delta patches, so their walkers read
+// rows / row_len / landmark / landmark_port (and, for TZ, the label map
+// and dictionary) through fib_load, racing benignly with a concurrent
+// writer. The scalar path instantiates them with seqlock loads
+// (kSeqlock = true, what TSan checks), the lockstep path with plain
+// loads (TSan builds compile it out). A torn window can hand back a
+// stale-or-new mixture of values — never out-of-bounds, since row_off
+// is the immutable capacity CSR and any stored row_len is within it —
+// and the generation recheck after the batch discards the whole result.
+// Both flavours run the one row search, fib_row_find.
+template <bool kSeqlock>
 struct CowenWalker {
   const FlatFib::CowenView& t;
   NodeId target = kInvalidNode;
@@ -152,28 +123,22 @@ struct CowenWalker {
   explicit CowenWalker(const FlatFib& fib) : t(fib.cowen()) {}
   void resolve(NodeId tgt) {
     target = tgt;
-    landmark = fib_seq_load_u32(t.landmark + tgt);
-    port_at_landmark = fib_seq_load_u32(t.landmark_port + tgt);
-  }
-  bool search(const std::uint64_t* row, std::uint32_t len, std::uint32_t key,
-              std::uint64_t* out) const {
-    return seq_row_search(row, len, key, out);
+    landmark = fib_load<kSeqlock>(t.landmark + tgt);
+    port_at_landmark = fib_load<kSeqlock>(t.landmark_port + tgt);
   }
   StepResult step(NodeId u) const {
     if (u == target) return {true, kInvalidPort};
     // row_off[u] is the row's *capacity* base; only the live prefix
     // (row_len[u] entries) holds data, the rest is patching slack.
     const std::uint64_t* row = t.rows + t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
+    const std::uint32_t len = fib_load<kSeqlock>(t.row_len + u);
     // Same precedence as CowenScheme::forward: direct entry, the
     // landmark's own hop, then the entry toward the landmark.
-    std::uint64_t e;
-    if (search(row, len, target, &e) && fib_entry_key(e) == target) {
-      return {false, fib_entry_port(e)};
-    }
+    std::uint32_t port;
+    if (fib_row_find<kSeqlock>(row, len, target, &port)) return {false, port};
     if (u == landmark) return {false, port_at_landmark};
-    if (search(row, len, landmark, &e) && fib_entry_key(e) == landmark) {
-      return {false, fib_entry_port(e)};
+    if (fib_row_find<kSeqlock>(row, len, landmark, &port)) {
+      return {false, port};
     }
     return {false, kInvalidPort};
   }
@@ -191,7 +156,8 @@ struct CowenWalker {
 // layer; labeled kinds skip phase one entirely because their arenas
 // carry no dictionary and their keys *are* node ids. kTz arenas are
 // patched like kCowen ones (label map and dictionary included), so every
-// mutable-section probe goes through the seqlock load helpers.
+// mutable-section probe goes through fib_load, as in CowenWalker.
+template <bool kSeqlock>
 struct TzWalker {
   const FlatFib::CowenView& t;  // rows/landmark arrays, label-keyed
   const FlatFib::TzView& z;     // label map + name dictionary
@@ -213,7 +179,7 @@ struct TzWalker {
     const std::uint64_t b = fib_dict_bucket(name, z.dict_bucket_count);
     const std::uint64_t* slot = z.dict + b * z.dict_bucket_cap;
     for (std::uint64_t i = 0; i < z.dict_bucket_cap; ++i) {
-      const std::uint64_t e = fib_seq_load_u64(slot + i);
+      const std::uint64_t e = fib_load<kSeqlock>(slot + i);
       if (e == kFibDictEmpty) break;  // end of the live prefix
       const std::uint32_t key = fib_entry_key(e);
       if (key == name) return fib_entry_port(e);
@@ -225,31 +191,29 @@ struct TzWalker {
   void resolve(NodeId name) {
     target_label = dict_resolve(name);
     if (target_label < node_count) {
-      landmark_label = fib_seq_load_u32(t.landmark + target_label);
-      port_at_landmark = fib_seq_load_u32(t.landmark_port + target_label);
+      landmark_label = fib_load<kSeqlock>(t.landmark + target_label);
+      port_at_landmark = fib_load<kSeqlock>(t.landmark_port + target_label);
     } else {
       landmark_label = kInvalidNode;
       port_at_landmark = kInvalidPort;
     }
   }
   StepResult step(NodeId u) const {
-    const std::uint32_t ul = fib_seq_load_u32(z.label_of + u);
+    const std::uint32_t ul = fib_load<kSeqlock>(z.label_of + u);
     if (ul == target_label) return {true, kInvalidPort};
     const std::uint64_t* row = t.rows + t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
+    const std::uint32_t len = fib_load<kSeqlock>(t.row_len + u);
     // Same precedence as the Cowen walker, in label space: direct entry,
     // the landmark's own hop, then the entry toward the landmark. Row
     // keys are labels < n, so an invalid target/landmark label (unknown
     // name) can never match a key and the packet drops.
-    std::uint64_t e;
-    if (seq_row_search(row, len, target_label, &e) &&
-        fib_entry_key(e) == target_label) {
-      return {false, fib_entry_port(e)};
+    std::uint32_t port;
+    if (fib_row_find<kSeqlock>(row, len, target_label, &port)) {
+      return {false, port};
     }
     if (ul == landmark_label) return {false, port_at_landmark};
-    if (seq_row_search(row, len, landmark_label, &e) &&
-        fib_entry_key(e) == landmark_label) {
-      return {false, fib_entry_port(e)};
+    if (fib_row_find<kSeqlock>(row, len, landmark_label, &port)) {
+      return {false, port};
     }
     return {false, kInvalidPort};
   }
@@ -304,128 +268,17 @@ struct TableWalker {
   void resolve(NodeId target) { label = t.relabel[target]; }
   StepResult step(NodeId u) const {
     if (t.relabel[u] == label) return {true, kInvalidPort};
+    // The containing run is the last one starting at or before the
+    // label: upper_bound on (label, max-port) lands one past it.
     const std::uint64_t* begin = t.runs + t.row_off[u];
-    const std::uint64_t* end = t.runs + t.row_off[u + 1];
-    const std::uint64_t* run = row_search(begin, end, label);
-    if (run == nullptr) return {false, kInvalidPort};
-    return {false, fib_entry_port(*run)};  // may be "no route"
+    const std::uint64_t* run =
+        std::upper_bound(begin, t.runs + t.row_off[u + 1],
+                         fib_pack_entry(label, 0xffffffffu));
+    if (run == begin) return {false, kInvalidPort};
+    return {false, fib_entry_port(run[-1])};  // may be "no route"
   }
   void prefetch(NodeId v) const { CPR_PREFETCH(&t.runs[t.row_off[v]]); }
 };
-
-// Per-shard hot-cache telemetry: the probe verdict plus lifetime
-// lookup/hit counters, flushed once per shard walk. Each worker owns
-// exactly one slot, so the sums are race-free and thread-count-invariant.
-struct HotCacheShardStats {
-  std::uint8_t off = 0;
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-};
-
-// Per-shard direct-mapped (node, target) -> decision cache. Safe because
-// step() is a pure function of (node, target) for one arena generation:
-// the cache is constructed per shard walk of one seqlock attempt and a
-// generation change discards the whole attempt, so a hit can never
-// resurrect a pre-patch decision. Under a skewed (Zipf) workload the hot
-// targets' hop decisions collapse into ~kSlots cache lines that stay L2
-// resident, replacing a row search per hop; under a uniform workload it
-// is pure overhead — which is why it is opt-in and measured, not default.
-struct HotDestCache {
-  // 4096 slots * 16B = 64 KiB per shard: big enough that the ~hundred
-  // hot (node, target) pairs of a Zipf(1.1) batch rarely collide, small
-  // enough not to evict the arena's own hot rows from L2.
-  static constexpr std::size_t kSlots = 4096;
-
-  struct Entry {
-    std::uint64_t key = ~std::uint64_t{0};  // unreachable: u is a valid node
-    std::uint32_t port = 0;
-    std::uint32_t deliver = 0;
-  };
-  std::vector<Entry> slots{kSlots};
-
-  static std::uint64_t pack(NodeId u, NodeId target) {
-    return (std::uint64_t{u} << 32) | target;
-  }
-  // Xor-fold the two 32-bit halves, then a 32-bit Fibonacci multiply,
-  // top 12 bits. One 32-bit imul instead of the previous full 64-bit
-  // multiply on the per-hop path; the fold keeps both node and target
-  // entropy in the product, so Zipf hit rates match the 64-bit hash
-  // (pinned by test_fib_simd.cpp's hit-rate floor).
-  static std::size_t slot_of(std::uint64_t key) {
-    const std::uint32_t folded =
-        static_cast<std::uint32_t>(key >> 32) ^
-        static_cast<std::uint32_t>(key);
-    return (folded * 0x9e3779b9u) >> 20;  // top 12 bits: kSlots = 2^12
-  }
-  bool lookup(NodeId u, NodeId target, StepResult* out) const {
-    const std::uint64_t key = pack(u, target);
-    const Entry& e = slots[slot_of(key)];
-    if (e.key != key) return false;
-    out->deliver = e.deliver != 0;
-    out->port = e.port;
-    return true;
-  }
-  void insert(NodeId u, NodeId target, StepResult d) {
-    const std::uint64_t key = pack(u, target);
-    Entry& e = slots[slot_of(key)];
-    e.key = key;
-    e.port = d.port;
-    e.deliver = d.deliver ? 1 : 0;
-  }
-
-  // Early hit-rate probe (kHotCacheProbeLookups): the first window of
-  // step lookups votes on whether this shard's workload is skewed. A
-  // cold cache misses its opening lookups no matter what, so the
-  // threshold (1/8) is set well below any Zipf shard's steady-state hit
-  // rate but above what a uniform shard ever reaches inside the window.
-  // Once failed, active() pins false for the shard remainder and the
-  // walk skips lookup+insert entirely.
-  std::uint32_t probe_lookups = 0;
-  std::uint32_t probe_hits = 0;
-  bool enabled = true;
-
-  // Lifetime counters over every lookup while active (probe window
-  // included), aggregated per shard into FibBatchOutput.
-  std::uint64_t lookups = 0;
-  std::uint64_t hits = 0;
-
-  bool active() const { return enabled; }
-  void note(bool hit) {
-    if (probe_lookups >= kHotCacheProbeLookups) return;
-    ++probe_lookups;
-    probe_hits += hit ? 1u : 0u;
-    if (probe_lookups == kHotCacheProbeLookups &&
-        probe_hits < kHotCacheProbeMinHits) {
-      enabled = false;
-    }
-  }
-};
-static_assert(HotDestCache::kSlots == (std::size_t{1} << 12));
-
-// kCache=false instantiations carry this instead of a HotDestCache so
-// the hot serving path never pays the 64 KiB per-shard allocation+zero.
-struct NoCache {};
-template <bool kCache>
-using ShardCache = std::conditional_t<kCache, HotDestCache, NoCache>;
-
-// One probed step through the cache: lookup (feeding the probe), step on
-// miss, insert. Falls through to a bare step once the probe has switched
-// the shard's cache off.
-template <typename Walker>
-inline StepResult cached_step(HotDestCache& cache, const Walker& w, NodeId u,
-                              NodeId target) {
-  StepResult d;
-  if (!cache.active()) return w.step(u);
-  const bool hit = cache.lookup(u, target, &d);
-  ++cache.lookups;
-  cache.hits += hit ? 1u : 0u;
-  cache.note(hit);
-  if (!hit) {
-    d = w.step(u);
-    cache.insert(u, target, d);
-  }
-  return d;
-}
 
 // Per-shard scratch for exact loop detection without per-query clears:
 // a node counts as visited when its stamp equals the current query's.
@@ -442,40 +295,41 @@ struct LoopStamps {
   }
 };
 
-template <typename Walker, bool kFailures, bool kRecord, bool kCache>
-void walk_shard(const FlatFib& fib,
-                std::span<const std::pair<NodeId, NodeId>> queries,
-                std::span<const std::uint32_t> indices,
-                const FibBatchOptions& opt, std::size_t max_hops,
-                std::vector<FibRouteResult>& results,
-                std::vector<NodeId>& shard_paths,
-                HotCacheShardStats& cache_stats) {
-  const FlatFib::TopoView& topo = fib.topo();
-  Walker walker(fib);
-  LoopStamps stamps(kFailures ? fib.node_count() : 0);
-  ShardCache<kCache> cache;  // empty type when kCache is off
-  for (const std::uint32_t qi : indices) {
-    const auto [source, target] = queries[qi];
-    FibRouteResult& r = results[qi];
-    r.path_begin = shard_paths.size();  // shard-relative, rebased later
-    if constexpr (kRecord) shard_paths.push_back(source);
+// One shard's share of a batch: its queries (indices into `queries`, in
+// input order) and where its results and recorded path go. Each worker
+// writes only its own results[qi] slots and its own `paths` buffer.
+struct ShardJob {
+  const FlatFib& fib;
+  std::span<const std::pair<NodeId, NodeId>> queries;
+  std::span<const std::uint32_t> indices;
+  const FibBatchOptions& opt;
+  std::size_t max_hops;
+  std::vector<FibRouteResult>& results;
+  std::vector<NodeId>& paths;  // shard-relative, stitched afterwards
+};
+
+template <typename Walker, bool kFailures, bool kRecord>
+void walk_shard(const ShardJob& job) {
+  const FlatFib::TopoView& topo = job.fib.topo();
+  Walker walker(job.fib);
+  LoopStamps stamps(kFailures ? job.fib.node_count() : 0);
+  for (const std::uint32_t qi : job.indices) {
+    const auto [source, target] = job.queries[qi];
+    FibRouteResult& r = job.results[qi];
+    r.path_begin = job.paths.size();  // shard-relative, rebased later
+    if constexpr (kRecord) job.paths.push_back(source);
     r.path_len = 1;
     if constexpr (kFailures) stamps.next_query();
     walker.resolve(target);
     NodeId current = source;
-    for (std::size_t step = 0; step <= max_hops; ++step) {
+    for (std::size_t step = 0; step <= job.max_hops; ++step) {
       if constexpr (kFailures) {
         if (stamps.revisit(current)) {
           r.looped = 1;
           break;
         }
       }
-      StepResult d;
-      if constexpr (kCache) {
-        d = cached_step(cache, walker, current, target);
-      } else {
-        d = walker.step(current);
-      }
+      const StepResult d = walker.step(current);
       if (d.deliver) {
         r.delivered = current == target ? 1 : 0;
         break;
@@ -483,56 +337,13 @@ void walk_shard(const FlatFib& fib,
       if (d.port == kInvalidPort || d.port >= topo.degree(current)) break;
       const std::uint32_t slot = topo.offsets[current] + d.port;
       if constexpr (kFailures) {
-        if ((*opt.edge_down)[topo.edge[slot]]) break;  // dead link: drop
+        if ((*job.opt.edge_down)[topo.edge[slot]]) break;  // dead link: drop
       }
       current = topo.neighbor[slot];
       walker.prefetch(current);
-      if constexpr (kRecord) shard_paths.push_back(current);
+      if constexpr (kRecord) job.paths.push_back(current);
       ++r.path_len;
     }
-  }
-  if constexpr (kCache) {
-    if (!cache.active()) cache_stats.off = 1;
-    cache_stats.lookups += cache.lookups;
-    cache_stats.hits += cache.hits;
-  }
-}
-
-template <typename Walker>
-void dispatch_shard(const FlatFib& fib,
-                    std::span<const std::pair<NodeId, NodeId>> queries,
-                    std::span<const std::uint32_t> indices,
-                    const FibBatchOptions& opt, std::size_t max_hops,
-                    std::vector<FibRouteResult>& results,
-                    std::vector<NodeId>& shard_paths,
-                    HotCacheShardStats& cache_stats) {
-  const bool failures = opt.edge_down != nullptr;
-  // The failures path never caches: drops and loop stamps are already the
-  // slow diagnostic mode, and fewer instantiations keep the hop loop hot.
-  if (failures && opt.record_paths) {
-    walk_shard<Walker, true, true, false>(fib, queries, indices, opt,
-                                          max_hops, results, shard_paths,
-                                          cache_stats);
-  } else if (failures) {
-    walk_shard<Walker, true, false, false>(fib, queries, indices, opt,
-                                           max_hops, results, shard_paths,
-                                           cache_stats);
-  } else if (opt.record_paths && opt.hot_dest_cache) {
-    walk_shard<Walker, false, true, true>(fib, queries, indices, opt,
-                                          max_hops, results, shard_paths,
-                                          cache_stats);
-  } else if (opt.record_paths) {
-    walk_shard<Walker, false, true, false>(fib, queries, indices, opt,
-                                           max_hops, results, shard_paths,
-                                           cache_stats);
-  } else if (opt.hot_dest_cache) {
-    walk_shard<Walker, false, false, true>(fib, queries, indices, opt,
-                                           max_hops, results, shard_paths,
-                                           cache_stats);
-  } else {
-    walk_shard<Walker, false, false, false>(fib, queries, indices, opt,
-                                            max_hops, results, shard_paths,
-                                            cache_stats);
   }
 }
 
@@ -542,173 +353,7 @@ void dispatch_shard(const FlatFib& fib,
 //
 // Only compiled on x86-64 non-TSan builds and only entered when
 // fib_resolve_dispatch said the machine has AVX2, so the target("avx2")
-// kernels below never execute on a machine that lacks them.
-
-// Exact-match scan of a short sorted row, four packed entries per
-// compare: shift the ports away, compare the keys against the probe in
-// all lanes, and read the port out of the (unique) hit. Only full
-// four-entry chunks inside the *live* length are touched — the tail and
-// the zeroed slack are never loaded, so a key of 0 cannot false-match
-// slack and ASan stays quiet about the last partially-filled chunk.
-__attribute__((target("avx2"))) bool cowen_scan_avx2(
-    const std::uint64_t* row, std::uint32_t len, std::uint32_t key,
-    std::uint32_t* port_out) {
-  const __m256i vkey = _mm256_set1_epi64x(static_cast<long long>(key));
-  std::uint32_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m256i v =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
-    const __m256i keys = _mm256_srli_epi64(v, 32);
-    const int hit = _mm256_movemask_pd(
-        _mm256_castsi256_pd(_mm256_cmpeq_epi64(keys, vkey)));
-    if (hit != 0) {
-      *port_out = fib_entry_port(row[i + __builtin_ctz(hit)]);
-      return true;
-    }
-  }
-  for (; i < len; ++i) {
-    if (fib_entry_key(row[i]) == key) {
-      *port_out = fib_entry_port(row[i]);
-      return true;
-    }
-  }
-  return false;
-}
-
-// Branchless exact-match search of one row's Eytzinger mirror. The probe
-// pack(key, 0) sorts before every entry with that key (ports occupy the
-// low half), so the lower-bound slot is the exact match when one exists.
-// The descend is one fused compare-add per level with no data-dependent
-// branch; the ffs trick recovers the lower-bound's 1-based slot from the
-// trail of right-turns.
-inline bool cowen_eyt_search(const std::uint64_t* eyt, std::uint32_t len,
-                             std::uint32_t key, std::uint32_t* port_out) {
-  const std::uint64_t probe = fib_pack_entry(key, 0);
-  std::uint64_t k = 1;
-  while (k <= len) {
-    CPR_PREFETCH(&eyt[std::min<std::uint64_t>(4 * k - 1, len - 1)]);
-    k = 2 * k + (eyt[k - 1] < probe);
-  }
-  k >>= __builtin_ffsll(static_cast<long long>(~k));
-  if (k == 0) return false;
-  const std::uint64_t e = eyt[k - 1];
-  if (fib_entry_key(e) != key) return false;
-  *port_out = fib_entry_port(e);
-  return true;
-}
-
-// Cowen walker for the lockstep path: same decision procedure as
-// CowenWalker (direct entry, the landmark's own hop, entry toward the
-// landmark) with the row probe selected per row length — vectorized scan
-// of the sorted image at or under kRowSearchLinearCutoff, branchless
-// Eytzinger search of the mirror above it. Keys are unique per row, so
-// every probe flavor agrees with the scalar walker's search bit for bit.
-// Loads are plain (not atomic_ref): benign under the seqlock because
-// row_off is immutable and torn values are discarded by the generation
-// recheck; TSan builds never reach this type.
-struct CowenSimdWalker {
-  const FlatFib::CowenView& t;
-  NodeId target = kInvalidNode;
-  NodeId landmark = kInvalidNode;
-  Port port_at_landmark = kInvalidPort;
-
-  explicit CowenSimdWalker(const FlatFib& fib) : t(fib.cowen()) {}
-  void resolve(NodeId tgt) {
-    target = tgt;
-    landmark = fib_seq_load_u32(t.landmark + tgt);
-    port_at_landmark = fib_seq_load_u32(t.landmark_port + tgt);
-  }
-  bool find(std::uint32_t off, std::uint32_t len, std::uint32_t key,
-            std::uint32_t* port_out) const {
-    if (len <= kRowSearchLinearCutoff) {
-      return cowen_scan_avx2(t.rows + off, len, key, port_out);
-    }
-    return cowen_eyt_search(t.eyt + off, len, key, port_out);
-  }
-  StepResult step(NodeId u) const {
-    if (u == target) return {true, kInvalidPort};
-    const std::uint32_t off = t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    std::uint32_t port;
-    if (find(off, len, target, &port)) return {false, port};
-    if (u == landmark) return {false, port_at_landmark};
-    if (find(off, len, landmark, &port)) return {false, port};
-    return {false, kInvalidPort};
-  }
-  void prefetch(NodeId v) const {
-    const std::uint32_t off = t.row_off[v];
-    CPR_PREFETCH(&t.rows[off]);
-    CPR_PREFETCH(&t.eyt[off]);
-  }
-};
-
-// TZ walker for the lockstep path: TzWalker's label-space decision
-// procedure with CowenSimdWalker's per-row probe selection (vectorized
-// scan under the cutoff, Eytzinger mirror above it). The dictionary
-// probe stays scalar — buckets average four entries, shorter than any
-// vector ramp-up — and runs once per query, not per hop. Loads are plain
-// for the same reason as CowenSimdWalker's: benign under the seqlock,
-// discarded by the generation recheck, and TSan builds never reach this
-// type.
-struct TzSimdWalker {
-  const FlatFib::CowenView& t;
-  const FlatFib::TzView& z;
-  std::uint32_t node_count = 0;
-  std::uint32_t target_label = kInvalidNode;
-  std::uint32_t landmark_label = kInvalidNode;
-  Port port_at_landmark = kInvalidPort;
-
-  explicit TzSimdWalker(const FlatFib& fib)
-      : t(fib.cowen()),
-        z(fib.tz()),
-        node_count(static_cast<std::uint32_t>(fib.node_count())) {}
-
-  std::uint32_t dict_resolve(std::uint32_t name) const {
-    const std::uint64_t b = fib_dict_bucket(name, z.dict_bucket_count);
-    const std::uint64_t* slot = z.dict + b * z.dict_bucket_cap;
-    for (std::uint64_t i = 0; i < z.dict_bucket_cap; ++i) {
-      const std::uint64_t e = slot[i];
-      if (e == kFibDictEmpty) break;
-      const std::uint32_t key = fib_entry_key(e);
-      if (key == name) return fib_entry_port(e);
-      if (key > name) break;
-    }
-    return kInvalidNode;
-  }
-
-  void resolve(NodeId name) {
-    target_label = dict_resolve(name);
-    if (target_label < node_count) {
-      landmark_label = fib_seq_load_u32(t.landmark + target_label);
-      port_at_landmark = fib_seq_load_u32(t.landmark_port + target_label);
-    } else {
-      landmark_label = kInvalidNode;
-      port_at_landmark = kInvalidPort;
-    }
-  }
-  bool find(std::uint32_t off, std::uint32_t len, std::uint32_t key,
-            std::uint32_t* port_out) const {
-    if (len <= kRowSearchLinearCutoff) {
-      return cowen_scan_avx2(t.rows + off, len, key, port_out);
-    }
-    return cowen_eyt_search(t.eyt + off, len, key, port_out);
-  }
-  StepResult step(NodeId u) const {
-    if (z.label_of[u] == target_label) return {true, kInvalidPort};
-    const std::uint32_t off = t.row_off[u];
-    const std::uint32_t len = fib_seq_load_u32(t.row_len + u);
-    std::uint32_t port;
-    if (find(off, len, target_label, &port)) return {false, port};
-    if (z.label_of[u] == landmark_label) return {false, port_at_landmark};
-    if (find(off, len, landmark_label, &port)) return {false, port};
-    return {false, kInvalidPort};
-  }
-  void prefetch(NodeId v) const {
-    const std::uint32_t off = t.row_off[v];
-    CPR_PREFETCH(&t.rows[off]);
-    CPR_PREFETCH(&t.eyt[off]);
-  }
-};
+// kernel below never executes on a machine that lacks it.
 
 // Lane classification out of the batched tree kernel.
 inline constexpr std::uint32_t kLaneDeliver = 0;  // x == dfs_in: arrived
@@ -787,86 +432,67 @@ __attribute__((target("avx2"))) void tree_step_lanes_avx2(
   }
 }
 
-// One batched decision round over the live lanes. The generic form is a
-// scalar loop — the lockstep win there is purely the eight overlapped
-// load chains — with per-walker batched kernels layered on top.
-template <typename Walker, bool kCache>
-void step_lanes(Walker* w, const NodeId* cur, const NodeId* tgt,
-                const bool* active, std::size_t m, StepResult* d,
-                ShardCache<kCache>& cache) {
-  for (std::size_t i = 0; i < m; ++i) {
-    if (!active[i]) continue;
-    if constexpr (kCache) {
-      d[i] = cached_step(cache, w[i], cur[i], tgt[i]);
-    } else {
-      d[i] = w[i].step(cur[i]);
-    }
-  }
-}
-
-template <bool kCache>
-void step_lanes_tree(TreeWalker* w, const NodeId* cur, const NodeId* tgt,
-                     const bool* active, std::size_t m, StepResult* d,
-                     ShardCache<kCache>& cache) {
+// One batched decision round over up to eight tree lanes: the AVX2
+// kernel resolves deliver / climb / heavy-descend, light-label lanes
+// re-derive the same decision through the scalar step.
+inline void step_lanes_tree(TreeWalker* w, const NodeId* cur,
+                            const bool* active, std::size_t m,
+                            StepResult* d) {
   std::uint32_t xs[8];
-  for (std::size_t i = 0; i < m; ++i) xs[i] = w[i].x;
+  bool any = false;
+  for (std::size_t i = 0; i < m; ++i) {
+    xs[i] = w[i].x;
+    any |= active[i];
+  }
+  if (!any) return;
   std::uint32_t klass[8] = {};
   std::uint32_t port[8] = {};
-  bool live[8];
-  std::size_t pending = 0;
+  tree_step_lanes_avx2(&w[0].t.nodes[0], xs, cur, active, m, klass, port);
   for (std::size_t i = 0; i < m; ++i) {
-    live[i] = active[i];
-    if constexpr (kCache) {
-      if (live[i] && cache.active()) {
-        const bool hit = cache.lookup(cur[i], tgt[i], &d[i]);
-        cache.note(hit);
-        if (hit) live[i] = false;
-      }
-    }
-    pending += live[i] ? 1 : 0;
-  }
-  if (pending != 0) {
-    tree_step_lanes_avx2(&w[0].t.nodes[0], xs, cur, live, m, klass, port);
-    for (std::size_t i = 0; i < m; ++i) {
-      if (!live[i]) continue;
-      switch (klass[i]) {
-        case kLaneDeliver:
-          d[i] = {true, kInvalidPort};
-          break;
-        case kLanePort:
-          d[i] = {false, static_cast<Port>(port[i])};
-          break;
-        default:
-          d[i] = w[i].step(cur[i]);
-          break;
-      }
-      if constexpr (kCache) {
-        if (cache.active()) cache.insert(cur[i], tgt[i], d[i]);
-      }
+    if (!active[i]) continue;
+    switch (klass[i]) {
+      case kLaneDeliver:
+        d[i] = {true, kInvalidPort};
+        break;
+      case kLanePort:
+        d[i] = {false, static_cast<Port>(port[i])};
+        break;
+      default:
+        d[i] = w[i].step(cur[i]);
+        break;
     }
   }
 }
 
-// Lockstep walk of one shard: groups of up to eight consecutive shard
-// queries advance together, one hop per round. Results and path layout
-// are bit-identical to walk_shard because lanes are flushed in shard
-// query order and every lane runs the exact scalar decision procedure —
-// only the interleaving (and with it the number of in-flight cache
-// misses) differs. No failures mode here: edge_down batches stay scalar.
-template <typename Walker, bool kRecord, bool kCache>
-void walk_shard_lockstep(const FlatFib& fib,
-                         std::span<const std::pair<NodeId, NodeId>> queries,
-                         std::span<const std::uint32_t> indices,
-                         std::size_t max_hops,
-                         std::vector<FibRouteResult>& results,
-                         std::vector<NodeId>& shard_paths,
-                         HotCacheShardStats& cache_stats) {
+// One decision round over up to eight live lanes. The generic form is a
+// scalar loop — the lockstep win there is purely the overlapped load
+// chains — and the tree family runs the lanes through the kernel.
+template <typename Walker>
+void step_lanes(Walker* w, const NodeId* cur, const bool* active,
+                std::size_t m, StepResult* d) {
+  if constexpr (std::is_same_v<Walker, TreeWalker>) {
+    step_lanes_tree(w, cur, active, m, d);
+  } else {
+    for (std::size_t i = 0; i < m; ++i) {
+      if (active[i]) d[i] = w[i].step(cur[i]);
+    }
+  }
+}
+
+// Lockstep walk of one shard with path recording: groups of up to eight
+// consecutive shard queries advance together, one hop per round. Results
+// and path layout are bit-identical to walk_shard because lanes are
+// flushed in shard query order and every lane runs the exact scalar
+// decision procedure — only the interleaving (and with it the number of
+// in-flight cache misses) differs. No failures mode here: edge_down
+// batches stay scalar.
+template <typename Walker>
+void walk_shard_lockstep(const ShardJob& job) {
   constexpr std::size_t kLanes = 8;
-  const FlatFib::TopoView& topo = fib.topo();
+  const FlatFib::TopoView& topo = job.fib.topo();
   std::vector<Walker> w;
   w.reserve(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) w.emplace_back(fib);
-  ShardCache<kCache> cache;
+  for (std::size_t i = 0; i < kLanes; ++i) w.emplace_back(job.fib);
   std::array<std::vector<NodeId>, kLanes> lane_path;
 
   NodeId cur[kLanes], tgt[kLanes];
@@ -875,27 +501,23 @@ void walk_shard_lockstep(const FlatFib& fib,
   std::uint8_t delivered[kLanes];
   StepResult d[kLanes];
 
+  const auto& indices = job.indices;
   for (std::size_t g = 0; g < indices.size(); g += kLanes) {
     const std::size_t m = std::min(kLanes, indices.size() - g);
     std::size_t remaining = m;
     for (std::size_t i = 0; i < m; ++i) {
-      const auto [source, target] = queries[indices[g + i]];
+      const auto [source, target] = job.queries[indices[g + i]];
       cur[i] = source;
       tgt[i] = target;
       active[i] = true;
       delivered[i] = 0;
       plen[i] = 1;
       w[i].resolve(target);
-      lane_path[i].clear();
-      if constexpr (kRecord) lane_path[i].push_back(source);
+      lane_path[i].assign(1, source);
       w[i].prefetch(source);
     }
-    for (std::size_t step = 0; remaining > 0 && step <= max_hops; ++step) {
-      if constexpr (std::is_same_v<Walker, TreeWalker>) {
-        step_lanes_tree<kCache>(w.data(), cur, tgt, active, m, d, cache);
-      } else {
-        step_lanes<Walker, kCache>(w.data(), cur, tgt, active, m, d, cache);
-      }
+    for (std::size_t step = 0; remaining > 0 && step <= job.max_hops; ++step) {
+      step_lanes(w.data(), cur, active, m, d);
       for (std::size_t i = 0; i < m; ++i) {
         if (!active[i]) continue;
         if (d[i].deliver) {
@@ -911,26 +533,19 @@ void walk_shard_lockstep(const FlatFib& fib,
         }
         cur[i] = topo.neighbor[topo.offsets[cur[i]] + d[i].port];
         w[i].prefetch(cur[i]);
-        if constexpr (kRecord) lane_path[i].push_back(cur[i]);
+        lane_path[i].push_back(cur[i]);
         ++plen[i];
       }
     }
     for (std::size_t i = 0; i < m; ++i) {
-      FibRouteResult& r = results[indices[g + i]];
-      r.path_begin = shard_paths.size();
+      FibRouteResult& r = job.results[indices[g + i]];
+      r.path_begin = job.paths.size();
       r.path_len = plen[i];
       r.delivered = delivered[i];
       r.looped = 0;
-      if constexpr (kRecord) {
-        shard_paths.insert(shard_paths.end(), lane_path[i].begin(),
-                           lane_path[i].end());
-      }
+      job.paths.insert(job.paths.end(), lane_path[i].begin(),
+                       lane_path[i].end());
     }
-  }
-  if constexpr (kCache) {
-    if (!cache.active()) cache_stats.off = 1;
-    cache_stats.lookups += cache.lookups;
-    cache_stats.hits += cache.hits;
   }
 }
 
@@ -941,19 +556,15 @@ void walk_shard_lockstep(const FlatFib& fib,
 // skewed, so the grouped walk spends many rounds nearly empty). Without
 // path recording the per-query outputs are written to results[qidx]
 // directly and are order-independent — bit-identical to walk_shard.
-// kLanes can exceed the 8-wide tree kernel; it then runs per 8-chunk.
-template <typename Walker, bool kCache, std::size_t kLanes>
-void walk_shard_lockstep_refill(
-    const FlatFib& fib, std::span<const std::pair<NodeId, NodeId>> queries,
-    std::span<const std::uint32_t> indices, std::size_t max_hops,
-    std::vector<FibRouteResult>& results, std::vector<NodeId>& shard_paths,
-    HotCacheShardStats& cache_stats) {
-  static_assert(kLanes % 8 == 0);
-  const FlatFib::TopoView& topo = fib.topo();
+// kLanes exceeds the 8-wide tree kernel, so rounds step in 8-lane chunks
+// (a constant width the compiler specializes the kernel for).
+template <typename Walker>
+void walk_shard_lockstep_refill(const ShardJob& job) {
+  constexpr std::size_t kLanes = 16;
+  const FlatFib::TopoView& topo = job.fib.topo();
   std::vector<Walker> w;
   w.reserve(kLanes);
-  for (std::size_t i = 0; i < kLanes; ++i) w.emplace_back(fib);
-  ShardCache<kCache> cache;
+  for (std::size_t i = 0; i < kLanes; ++i) w.emplace_back(job.fib);
 
   NodeId cur[kLanes], tgt[kLanes];
   std::uint32_t qidx[kLanes];
@@ -964,9 +575,9 @@ void walk_shard_lockstep_refill(
 
   std::size_t filled = 0, live = 0;
   const auto load = [&](std::size_t i) {
-    if (filled >= indices.size()) return;
-    const std::uint32_t qi = indices[filled++];
-    const auto [source, target] = queries[qi];
+    if (filled >= job.indices.size()) return;
+    const std::uint32_t qi = job.indices[filled++];
+    const auto [source, target] = job.queries[qi];
     qidx[i] = qi;
     cur[i] = source;
     tgt[i] = target;
@@ -978,8 +589,8 @@ void walk_shard_lockstep_refill(
     w[i].prefetch(source);
   };
   const auto retire = [&](std::size_t i, std::uint8_t delivered) {
-    FibRouteResult& r = results[qidx[i]];
-    r.path_begin = shard_paths.size();  // constant: nothing is recorded
+    FibRouteResult& r = job.results[qidx[i]];
+    r.path_begin = job.paths.size();  // constant: nothing is recorded
     r.path_len = plen[i];
     r.delivered = delivered;
     r.looped = 0;
@@ -989,13 +600,8 @@ void walk_shard_lockstep_refill(
   };
   for (std::size_t i = 0; i < kLanes; ++i) load(i);
   while (live > 0) {
-    if constexpr (std::is_same_v<Walker, TreeWalker>) {
-      for (std::size_t c = 0; c < kLanes; c += 8) {
-        step_lanes_tree<kCache>(w.data() + c, cur + c, tgt + c, active + c, 8,
-                                d + c, cache);
-      }
-    } else {
-      step_lanes<Walker, kCache>(w.data(), cur, tgt, active, kLanes, d, cache);
+    for (std::size_t c = 0; c < kLanes; c += 8) {
+      step_lanes(w.data() + c, cur + c, active + c, 8, d + c);
     }
     for (std::size_t i = 0; i < kLanes; ++i) {
       if (!active[i]) continue;
@@ -1011,44 +617,42 @@ void walk_shard_lockstep_refill(
       w[i].prefetch(cur[i]);
       ++plen[i];
       // Same call budget as the scalar loop: max_hops+1 step() calls.
-      if (++steps[i] > max_hops) retire(i, 0);
+      if (++steps[i] > job.max_hops) retire(i, 0);
     }
-  }
-  if constexpr (kCache) {
-    if (!cache.active()) cache_stats.off = 1;
-    cache_stats.lookups += cache.lookups;
-    cache_stats.hits += cache.hits;
-  }
-}
-
-template <typename Walker>
-void dispatch_shard_lockstep(const FlatFib& fib,
-                             std::span<const std::pair<NodeId, NodeId>> queries,
-                             std::span<const std::uint32_t> indices,
-                             const FibBatchOptions& opt, std::size_t max_hops,
-                             std::vector<FibRouteResult>& results,
-                             std::vector<NodeId>& shard_paths,
-                             HotCacheShardStats& cache_stats) {
-  // Path recording needs shard_paths laid out in shard query order, so it
-  // keeps the grouped walk; the stats-only serving mode takes the
-  // refilling walk, which sustains full lane occupancy.
-  constexpr std::size_t kRefillLanes = 16;
-  if (opt.record_paths && opt.hot_dest_cache) {
-    walk_shard_lockstep<Walker, true, true>(fib, queries, indices, max_hops,
-                                            results, shard_paths, cache_stats);
-  } else if (opt.record_paths) {
-    walk_shard_lockstep<Walker, true, false>(fib, queries, indices, max_hops,
-                                             results, shard_paths, cache_stats);
-  } else if (opt.hot_dest_cache) {
-    walk_shard_lockstep_refill<Walker, true, kRefillLanes>(
-        fib, queries, indices, max_hops, results, shard_paths, cache_stats);
-  } else {
-    walk_shard_lockstep_refill<Walker, false, kRefillLanes>(
-        fib, queries, indices, max_hops, results, shard_paths, cache_stats);
   }
 }
 
 #endif  // CPR_SIMD
+
+// Walks one shard with the kind's walker: the lockstep flavour when the
+// batch resolved to SIMD (path recording needs shard_paths laid out in
+// shard query order, so it keeps the grouped walk; the stats-only
+// serving mode takes the refilling walk, which sustains full lane
+// occupancy), the scalar reference otherwise.
+template <typename Scalar, typename Lockstep>
+void walk_kind(const ShardJob& job, bool simd) {
+#if CPR_SIMD
+  if (simd) {
+    if (job.opt.record_paths) {
+      walk_shard_lockstep<Lockstep>(job);
+    } else {
+      walk_shard_lockstep_refill<Lockstep>(job);
+    }
+    return;
+  }
+#endif
+  (void)simd;  // non-SIMD builds resolve every dispatch to scalar
+  const bool failures = job.opt.edge_down != nullptr;
+  if (failures && job.opt.record_paths) {
+    walk_shard<Scalar, true, true>(job);
+  } else if (failures) {
+    walk_shard<Scalar, true, false>(job);
+  } else if (job.opt.record_paths) {
+    walk_shard<Scalar, false, true>(job);
+  } else {
+    walk_shard<Scalar, false, false>(job);
+  }
+}
 
 }  // namespace
 
@@ -1123,7 +727,6 @@ FibBatchOutput forward_batch(const FlatFib& fib,
   // The failure-mode scalar pin is part of the engine's contract, not an
   // accident of the expression above.
   assert(opt.edge_down == nullptr || !simd);
-  (void)simd;  // non-SIMD builds resolve every dispatch to scalar
 
   // Seqlock read side. Sample the generation, walk, issue an acquire
   // fence at the end of every shard (so each worker's data loads are
@@ -1134,96 +737,38 @@ FibBatchOutput forward_batch(const FlatFib& fib,
   // pure function of the queries, so only the walk itself repeats.
   ThreadPool& pool = opt.pool ? *opt.pool : ThreadPool::global();
   std::vector<std::vector<NodeId>> shard_paths(shards);
-  // Per-shard hot-cache probe verdicts and hit counters; each worker
-  // writes only its own slot, summed into the output after the delivered
-  // attempt.
-  std::vector<HotCacheShardStats> cache_stats(shards);
   std::uint64_t gen = 0;
   for (std::size_t attempt = 0;; ++attempt) {
     gen = fib.generation();
     if ((gen & 1) == 0) {
       parallel_for(pool, 0, shards, [&](std::size_t s) {
-        const std::span<const std::uint32_t> indices{
-            order.data() + shard_begin[s],
-            shard_begin[s + 1] - shard_begin[s]};
-        if (indices.empty()) return;
-#if CPR_SIMD
-        if (simd) {
-          switch (fib.kind()) {
-            case FibKind::kTree:
-              dispatch_shard_lockstep<TreeWalker>(fib, queries, indices, opt,
-                                                  max_hops, out.results,
-                                                  shard_paths[s],
-                                                  cache_stats[s]);
-              break;
-            case FibKind::kInterval:
-              dispatch_shard_lockstep<IntervalWalker>(fib, queries, indices,
-                                                      opt, max_hops,
-                                                      out.results,
-                                                      shard_paths[s],
-                                                      cache_stats[s]);
-              break;
-            case FibKind::kCowen:
-              dispatch_shard_lockstep<CowenSimdWalker>(fib, queries, indices,
-                                                       opt, max_hops,
-                                                       out.results,
-                                                       shard_paths[s],
-                                                       cache_stats[s]);
-              break;
-            case FibKind::kTable:
-              dispatch_shard_lockstep<TableWalker>(fib, queries, indices,
-                                                   opt, max_hops, out.results,
-                                                   shard_paths[s],
-                                                   cache_stats[s]);
-              break;
-            case FibKind::kMesh:
-              dispatch_shard_lockstep<MeshWalker>(fib, queries, indices, opt,
-                                                  max_hops, out.results,
-                                                  shard_paths[s],
-                                                  cache_stats[s]);
-              break;
-            case FibKind::kTz:
-              dispatch_shard_lockstep<TzSimdWalker>(fib, queries, indices,
-                                                    opt, max_hops,
-                                                    out.results,
-                                                    shard_paths[s],
-                                                    cache_stats[s]);
-              break;
-          }
-          std::atomic_thread_fence(std::memory_order_acquire);
-          return;
-        }
-#endif
+        const ShardJob job{fib,
+                           queries,
+                           {order.data() + shard_begin[s],
+                            shard_begin[s + 1] - shard_begin[s]},
+                           opt,
+                           max_hops,
+                           out.results,
+                           shard_paths[s]};
+        if (job.indices.empty()) return;
         switch (fib.kind()) {
           case FibKind::kTree:
-            dispatch_shard<TreeWalker>(fib, queries, indices, opt, max_hops,
-                                       out.results, shard_paths[s],
-                                       cache_stats[s]);
+            walk_kind<TreeWalker, TreeWalker>(job, simd);
             break;
           case FibKind::kInterval:
-            dispatch_shard<IntervalWalker>(fib, queries, indices, opt,
-                                           max_hops, out.results,
-                                           shard_paths[s], cache_stats[s]);
+            walk_kind<IntervalWalker, IntervalWalker>(job, simd);
             break;
           case FibKind::kCowen:
-            dispatch_shard<CowenWalker>(fib, queries, indices, opt, max_hops,
-                                        out.results, shard_paths[s],
-                                        cache_stats[s]);
+            walk_kind<CowenWalker<true>, CowenWalker<false>>(job, simd);
             break;
           case FibKind::kTable:
-            dispatch_shard<TableWalker>(fib, queries, indices, opt, max_hops,
-                                        out.results, shard_paths[s],
-                                        cache_stats[s]);
+            walk_kind<TableWalker, TableWalker>(job, simd);
             break;
           case FibKind::kMesh:
-            dispatch_shard<MeshWalker>(fib, queries, indices, opt, max_hops,
-                                       out.results, shard_paths[s],
-                                       cache_stats[s]);
+            walk_kind<MeshWalker, MeshWalker>(job, simd);
             break;
           case FibKind::kTz:
-            dispatch_shard<TzWalker>(fib, queries, indices, opt, max_hops,
-                                     out.results, shard_paths[s],
-                                     cache_stats[s]);
+            walk_kind<TzWalker<true>, TzWalker<false>>(job, simd);
             break;
         }
         std::atomic_thread_fence(std::memory_order_acquire);
@@ -1240,13 +785,7 @@ FibBatchOutput forward_batch(const FlatFib& fib,
     ++out.seqlock_retries;
     std::fill(out.results.begin(), out.results.end(), FibRouteResult{});
     for (auto& p : shard_paths) p.clear();
-    std::fill(cache_stats.begin(), cache_stats.end(), HotCacheShardStats{});
     std::this_thread::yield();
-  }
-  for (const HotCacheShardStats& cs : cache_stats) {
-    out.hot_cache_disabled_shards += cs.off;
-    out.hot_cache_lookups += cs.lookups;
-    out.hot_cache_hits += cs.hits;
   }
 
   // Stitch the per-shard path buffers in shard order and rebase each

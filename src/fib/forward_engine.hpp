@@ -4,9 +4,10 @@
 // no virtual dispatch and no per-query allocation on the walk itself:
 // headers are resolved straight from the arena (two array reads instead
 // of make_header's per-target work), every hop is a handful of loads
-// over the flat sections — direct port fields for tree edges, one-compare
-// binary search over packed (key, port) rows — and the next node's row is
-// software-prefetched while the current hop finishes.
+// over the flat sections — direct port fields for tree edges, one
+// branchless Eytzinger search (fib_row_find) over packed (key, port)
+// rows — and the next node's row is software-prefetched while the
+// current hop finishes.
 //
 // Sharding: queries are bucketed by source node into kFibShards fixed
 // shards (contiguous source ranges), and shards fan out over the
@@ -39,9 +40,10 @@
 // walks up to eight same-shard queries in lockstep — every live lane
 // takes its next hop before any lane takes the one after — so eight
 // independent dependent-load chains are in flight per step instead of
-// one, and the per-step next-hop resolution is batched with AVX2 where
-// it pays (gathered tree-record classification, vectorized short-row
-// scans, branchless Eytzinger search of the mirror for long rows).
+// one; the tree family additionally classifies eight lanes per step with
+// one gathered AVX2 compare. Both paths run the same walker type per
+// kind — Cowen and TZ rows go through the one row search either way; the
+// lockstep instantiation only swaps the seqlock loads for plain ones.
 // Lane grouping follows shard query order, so paths, results and their
 // layout are bit-identical to the scalar path by construction; the
 // differential suite (tests/test_fib_simd.cpp) holds both paths and the
@@ -66,8 +68,8 @@ inline constexpr std::size_t kFibShards = 64;
 
 // How forward_batch resolves each hop. kAuto probes the CPU once per
 // batch; kSimd requests the lockstep/AVX2 path and silently degrades to
-// scalar where it cannot run (no AVX2, or a TSan build — the vector
-// loads bypass the seqlock's atomic_ref loads, which is benign in
+// scalar where it cannot run (no AVX2, or a TSan build — the lockstep
+// walkers' plain loads bypass the seqlock's atomic_ref loads, benign in
 // production x86-64 but indistinguishable from a real race to TSan).
 // kScalar pins the reference path; the differential tests force it so
 // non-AVX machines still exercise the full suite.
@@ -115,19 +117,6 @@ inline constexpr std::size_t kSimdAutoMinArenaBytes = 2u << 20;
 // the scalar path, which is bit-identical.
 inline constexpr std::size_t kSimdMaxNodeCount = std::size_t{1} << 28;
 
-// Hot-destination-cache probe window (per shard). The cache only pays
-// when the target distribution is skewed enough that (node, target) hop
-// decisions repeat within a shard; under a uniform workload every lookup
-// misses and the cache is pure overhead. Each shard therefore probes its
-// own first kHotCacheProbeLookups step lookups and switches the cache
-// off for the shard's remainder when fewer than kHotCacheProbeMinHits of
-// them hit. The decision is per shard per seqlock attempt, a pure
-// function of the (deterministically sharded) queries — results are
-// unchanged either way, only the lookup overhead goes away.
-inline constexpr std::uint32_t kHotCacheProbeLookups = 256;
-inline constexpr std::uint32_t kHotCacheProbeMinHits =
-    kHotCacheProbeLookups / 8;
-
 struct FibBatchOptions {
   ThreadPool* pool = nullptr;     // nullptr = process-global pool
   std::size_t max_hops = 0;       // 0 = the simulator default, 4n + 16
@@ -148,16 +137,6 @@ struct FibBatchOptions {
   // edge_down is set — fib_resolve_batch_dispatch is the authoritative
   // resolution, asserted inside forward_batch.
   FibDispatch dispatch = FibDispatch::kAuto;
-  // Per-shard direct-mapped (node, target) -> decision cache. step() is a
-  // pure function of (node, target) for a fixed arena generation, so
-  // caching is result-preserving; the cache lives for one shard of one
-  // seqlock attempt, never across generations. Off by default: it only
-  // pays when the target distribution is skewed (bench_forward's zipf
-  // suites measure the win; the uniform suites measure the overhead).
-  // Each shard additionally self-probes its early hit rate and disables
-  // its cache for the shard remainder when the workload turns out
-  // uniform — see kHotCacheProbeLookups.
-  bool hot_dest_cache = false;
 };
 
 struct FibRouteResult {
@@ -174,16 +153,6 @@ struct FibBatchOutput {
   std::vector<NodeId> paths;            // concatenated walks (record_paths)
   // Batch re-runs forced by a concurrent patch (0 on the fast path).
   std::uint32_t seqlock_retries = 0;
-  // Shards whose hot-destination cache failed its early hit-rate probe
-  // and ran the remainder cache-less (0 unless hot_dest_cache was set).
-  // From the delivered (final) seqlock attempt only.
-  std::uint32_t hot_cache_disabled_shards = 0;
-  // Hot-destination cache lookups and hits across all shards while their
-  // caches were active (0 unless hot_dest_cache was set); same delivered
-  // attempt. hits/lookups is the batch's measured hit rate — the Zipf
-  // suites assert a floor on it (test_fib_simd.cpp).
-  std::uint64_t hot_cache_lookups = 0;
-  std::uint64_t hot_cache_hits = 0;
 
   std::span<const NodeId> path(std::size_t query) const {
     const FibRouteResult& r = results[query];

@@ -501,10 +501,11 @@ PatchChannelWriter::PatchChannelWriter(PatchChannelWriter&& other) noexcept
       fib_(std::move(other.fib_)),
       takeover_(other.takeover_),
       rows_off_(other.rows_off_),
-      eyt_off_(other.eyt_off_),
       row_len_off_(other.row_len_off_),
       landmark_off_(other.landmark_off_),
-      landmark_port_off_(other.landmark_port_off_) {
+      landmark_port_off_(other.landmark_port_off_),
+      label_map_off_(other.label_map_off_),
+      dict_off_(other.dict_off_) {
   other.lock_fd_ = -1;
   other.map_ = nullptr;
   other.map_bytes_ = 0;
@@ -528,10 +529,11 @@ PatchChannelWriter& PatchChannelWriter::operator=(
     fib_ = std::move(other.fib_);
     takeover_ = other.takeover_;
     rows_off_ = other.rows_off_;
-    eyt_off_ = other.eyt_off_;
     row_len_off_ = other.row_len_off_;
     landmark_off_ = other.landmark_off_;
     landmark_port_off_ = other.landmark_port_off_;
+    label_map_off_ = other.label_map_off_;
+    dict_off_ = other.dict_off_;
     other.lock_fd_ = -1;
     other.map_ = nullptr;
     other.map_bytes_ = 0;
@@ -572,12 +574,13 @@ void PatchChannelWriter::attach_segment(std::uint64_t gen) {
   const std::uint8_t* blob = base + kPatchSegmentHeaderBytes;
   namespace fsid = fib_section;
   rows_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRows);
-  eyt_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRowsEyt);
   row_len_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRowLen);
   landmark_off_ =
       blob_section_offset(blob, h.payload_bytes, fsid::kCowenLandmark);
   landmark_port_off_ =
       blob_section_offset(blob, h.payload_bytes, fsid::kCowenLandmarkPort);
+  label_map_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kLabelMap);
+  dict_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kDictionary);
   auto* seq_word = reinterpret_cast<std::uint64_t*>(base + patch_segment::kSeq);
   fib_ = FlatFib::from_shared(base + kPatchSegmentHeaderBytes, h.payload_bytes,
                               seq_word, /*writable=*/true);
@@ -637,15 +640,23 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
     const FibDelta& delta) const {
   namespace fsid = fib_section;
   const auto& cw = fib_.cowen();
+  const auto& tz = fib_.tz();
+  const bool labeled = fib_.kind() == FibKind::kTz;
+  const std::size_t n = fib_.node_count();
   std::vector<std::size_t> words;
   for (const FibRowPatch& p : delta.patches) {
+    // A patch apply_delta refuses (row out of range, label sections on
+    // a kind without them) rejects the whole delta, so no word moves and
+    // no fold runs; skip it here so nothing past a section is read.
+    const bool dict = p.section == fsid::kDictionary;
+    if ((p.section == fsid::kLabelMap || dict) && !labeled) continue;
+    if (p.row >= (dict ? tz.dict_bucket_count : n)) continue;
     switch (p.section) {
       case fsid::kCowenRows: {
         const std::size_t begin = cw.row_off[p.row];
         const std::size_t end = cw.row_off[p.row + 1];
         for (std::size_t i = begin; i < end; ++i) {
           words.push_back(rows_off_ / 8 + i);
-          words.push_back(eyt_off_ / 8 + i);
         }
         words.push_back((row_len_off_ + 4 * std::size_t{p.row}) / 8);
         break;
@@ -656,6 +667,19 @@ std::vector<std::size_t> PatchChannelWriter::touched_words(
       case fsid::kCowenLandmarkPort:
         words.push_back((landmark_port_off_ + 4 * std::size_t{p.row}) / 8);
         break;
+      case fsid::kLabelMap:
+        words.push_back((label_map_off_ + 4 * std::size_t{p.row}) / 8);
+        break;
+      case fsid::kDictionary: {
+        // Slots start past the 16-byte [count][cap] header; a bucket
+        // patch rewrites all bucket_cap slots (live prefix + empty fill).
+        const std::size_t first =
+            dict_off_ / 8 + 2 + std::size_t{p.row} * tz.dict_bucket_cap;
+        for (std::size_t i = 0; i < tz.dict_bucket_cap; ++i) {
+          words.push_back(first + i);
+        }
+        break;
+      }
       default:
         break;  // apply_delta will reject the delta wholesale
     }

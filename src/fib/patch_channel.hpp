@@ -340,13 +340,15 @@ class PatchChannelWriter {
   std::uint64_t arena_generation_ = 0;
   FlatFib fib_;
   TakeoverOutcome takeover_ = TakeoverOutcome::kNone;
-  // Blob-relative byte offsets of the patchable Cowen sections in the
-  // mapped segment (parsed once per attach; the directory is immutable).
+  // Blob-relative byte offsets of the patchable sections in the mapped
+  // segment (parsed once per attach; the directory is immutable). The
+  // label map and dictionary exist on kTz arenas only.
   std::uint64_t rows_off_ = 0;
-  std::uint64_t eyt_off_ = 0;
   std::uint64_t row_len_off_ = 0;
   std::uint64_t landmark_off_ = 0;
   std::uint64_t landmark_port_off_ = 0;
+  std::uint64_t label_map_off_ = 0;
+  std::uint64_t dict_off_ = 0;
 };
 
 }  // namespace cpr

@@ -34,13 +34,9 @@ class CsrGraph {
   // binary-searches longer ones. The crossover is empirical: on the
   // sparse sweep topologies (mean degree ~6) a handful of contiguous
   // compares beats the branchy search plus the permutation indirection,
-  // and hub rows are where the O(log deg) search pays off.
-  // Re-measured for the v3 Eytzinger work (fib/flat_fib.hpp,
-  // kRowSearchLinearCutoff): the branchless mirror search edges out the
-  // scan even at short lengths, but keeping short compiled rows on the
-  // scan path costs ≤ ~20% on a minority population and buys mirror-less
-  // v2 arenas full-speed service — so both cutoffs stay pinned at 16
-  // and are asserted equal in tests/test_fib_simd.cpp.
+  // and hub rows are where the O(log deg) search pays off. (Compiled
+  // FIB rows have no such cutoff: they are stored in Eytzinger order and
+  // one branchless search, fib_row_find, serves every length.)
   // tests/test_csr_graph.cpp pins both sides of the boundary.
   static constexpr std::size_t kPortToLinearScanCutoff = 16;
 

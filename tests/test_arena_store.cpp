@@ -105,7 +105,7 @@ TEST(ArenaStore, TzArenaPublishRoundTripsThroughMmap) {
       alg, inst.graph, inst.weights, inst.rng);
   const FlatFib fib = compile_fib(scheme, inst.graph,
                                   fib_churn_maintain_options().compile);
-  ASSERT_EQ(fib.blob_version(), 5u);
+  ASSERT_EQ(fib.blob_version(), 6u);
   const auto queries = all_pairs(fib.node_count());
   const std::uint64_t want = batch_hash(forward_batch(fib, queries));
 
@@ -116,7 +116,7 @@ TEST(ArenaStore, TzArenaPublishRoundTripsThroughMmap) {
   const auto arena = reader.current();
   ASSERT_NE(arena, nullptr);
   EXPECT_EQ(arena->fib().kind(), FibKind::kTz);
-  EXPECT_EQ(arena->fib().blob_version(), 5u);
+  EXPECT_EQ(arena->fib().blob_version(), 6u);
   EXPECT_EQ(batch_hash(forward_batch(arena->fib(), queries)), want)
       << "the mapped kTz generation must serve bit-identically";
 }

@@ -92,7 +92,7 @@ TEST(AsRelFixture, UnderlayBuildsCompilesAndServesEndToEnd) {
   ASSERT_FALSE(scheme.labels().is_identity());
   const FlatFib fib = compile_fib(scheme, g);
   EXPECT_EQ(fib.kind(), FibKind::kTz);
-  EXPECT_EQ(fib.blob_version(), 5u);
+  EXPECT_EQ(fib.blob_version(), 6u);
 
   Rng qrng(7);
   std::vector<std::pair<NodeId, NodeId>> queries;

@@ -1,11 +1,11 @@
-// Golden-file pin of the on-disk "CPRFIB05" arena layout.
+// Golden-file pin of the on-disk "CPRFIB06" arena layout.
 //
 // ArenaStore publishes these blobs as files that *other processes* —
 // possibly running older or newer builds — mmap and serve, so the byte
 // layout is a wire format now, not an implementation detail. This test
 // builds a small hand-specified Cowen arena and compares it
-// byte-for-byte against tests/golden/cowen_small_v5.hex (and a kTz arena
-// against tests/golden/tz_small_v5.hex); it also spells
+// byte-for-byte against tests/golden/cowen_small_v6.hex (and a kTz arena
+// against tests/golden/tz_small_v6.hex); it also spells
 // out the header field offsets, little-endian encoding, and 64-byte
 // section alignment as direct assertions, so a diff here tells the
 // reader exactly which layout promise broke. Any intentional change to
@@ -13,7 +13,7 @@
 // (run with CPR_UPDATE_GOLDEN=1) — silently shifting bytes would make
 // every published arena in a fleet unreadable or, worse, misread.
 //
-// Older magics (CPRFIB02/03/04) are not read at all: the loader rejects
+// Older magics (CPRFIB02/03/04/05) are not read at all: the loader rejects
 // them with an error that names the magic and asks for a recompile.
 #include "fib/flat_fib.hpp"
 #include "fib/forward_engine.hpp"
@@ -37,15 +37,17 @@ namespace {
 #endif
 
 const std::string kGoldenPath =
-    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v5.hex";
+    std::string(CPR_GOLDEN_DIR) + "/cowen_small_v6.hex";
 const std::string kGoldenTzPath =
-    std::string(CPR_GOLDEN_DIR) + "/tz_small_v5.hex";
+    std::string(CPR_GOLDEN_DIR) + "/tz_small_v6.hex";
 
 // The golden arena: a 3-node path 0-1-2 with fully hand-written Cowen
 // sections (capacity 2 per row, node 1 as everyone's landmark). Every
 // byte of the result is determined by this function and the format —
 // no scheme construction, no RNG — so the golden file pins exactly the
-// serialization layer.
+// serialization layer. Rows are written in Eytzinger order: a two-entry
+// row stores its larger key at slot 0 (the root) and the smaller at
+// slot 1 (the root's left child).
 FlatFib build_golden_fib() {
   Graph g(3);
   g.add_edge(0, 1);  // edge 0: port 0 at both ends
@@ -56,7 +58,7 @@ FlatFib build_golden_fib() {
   const std::vector<std::uint32_t> row_len = {1, 2, 1};
   const std::vector<std::uint64_t> rows = {
       fib_pack_entry(1, 0), 0,                          // node 0 (+slack)
-      fib_pack_entry(0, 0), fib_pack_entry(2, 1),       // node 1
+      fib_pack_entry(2, 1), fib_pack_entry(0, 0),       // node 1
       fib_pack_entry(1, 0), 0,                          // node 2 (+slack)
   };
   const std::vector<std::uint32_t> landmark = {1, 1, 1};
@@ -71,8 +73,9 @@ FlatFib build_golden_fib() {
 
 // The kTz golden arena: the same 3-node path, lifted to the
 // name-independent kTz kind with the hand-picked label permutation
-// node 0 → 2, node 1 → 0, node 2 → 1. Rows are re-keyed (and re-sorted)
-// by label, the landmark arrays are indexed by label, and the two label
+// node 0 → 2, node 1 → 0, node 2 → 1. Rows are re-keyed by label (and
+// laid out in Eytzinger order), the landmark arrays are indexed by
+// label, and the two label
 // sections pin their wire format: the label map and the bucketed
 // name → label dictionary (one bucket of capacity 4 at n = 3, exactly
 // what fib_dict_bucket_count sizes).
@@ -86,7 +89,7 @@ FlatFib build_golden_tz_fib() {
   const std::vector<std::uint32_t> row_len = {1, 2, 1};
   const std::vector<std::uint64_t> rows = {
       fib_pack_entry(0, 0), 0,                     // node 0: landmark's label
-      fib_pack_entry(1, 1), fib_pack_entry(2, 0),  // node 1: both neighbors
+      fib_pack_entry(2, 0), fib_pack_entry(1, 1),  // node 1: both neighbors
       fib_pack_entry(0, 0), 0,                     // node 2
   };
   // Indexed by label: every label's landmark is node 1 (label 0); the
@@ -169,11 +172,11 @@ TEST(BlobLayout, GoldenFileMatchesByteForByte) {
   const std::vector<std::uint8_t> golden = from_hex(text);
 
   ASSERT_EQ(blob.size(), golden.size())
-      << "CPRFIB05 blob size changed — this is a wire-format break; bump "
+      << "CPRFIB06 blob size changed — this is a wire-format break; bump "
          "the version and regenerate the golden file deliberately";
   for (std::size_t i = 0; i < golden.size(); ++i) {
     ASSERT_EQ(blob[i], golden[i])
-        << "CPRFIB05 byte " << i << " changed — wire-format break; bump "
+        << "CPRFIB06 byte " << i << " changed — wire-format break; bump "
            "the version and regenerate the golden file deliberately";
   }
 }
@@ -224,11 +227,11 @@ TEST(BlobLayout, TzGoldenFileMatchesByteForByte) {
   const std::vector<std::uint8_t> golden = from_hex(text);
 
   ASSERT_EQ(blob.size(), golden.size())
-      << "CPRFIB05 kTz blob size changed — wire-format break; bump the "
+      << "CPRFIB06 kTz blob size changed — wire-format break; bump the "
          "version and regenerate the golden file deliberately";
   for (std::size_t i = 0; i < golden.size(); ++i) {
     ASSERT_EQ(blob[i], golden[i])
-        << "CPRFIB05 kTz byte " << i << " changed — wire-format break; "
+        << "CPRFIB06 kTz byte " << i << " changed — wire-format break; "
            "bump the version and regenerate the golden file deliberately";
   }
 }
@@ -240,13 +243,13 @@ TEST(BlobLayout, TzGoldenBytesReopenAndServe) {
   const FlatFib fib = build_golden_tz_fib();
   const auto blob = fib.blob();
   ASSERT_GE(blob.size(), 40u);
-  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB05", 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB06", 8), 0);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 8), 6u);  // kind = kTz
-  // 3 topology + 5 cowen + label map + dictionary + synthesized mirror.
-  EXPECT_EQ(read_le<std::uint32_t>(blob, 16), 11u);
+  // 3 topology + 5 cowen + label map + dictionary.
+  EXPECT_EQ(read_le<std::uint32_t>(blob, 16), 10u);
 
   const FlatFib reopened = FlatFib::from_blob({blob.data(), blob.size()});
-  EXPECT_EQ(reopened.blob_version(), 5u);
+  EXPECT_EQ(reopened.blob_version(), 6u);
   EXPECT_EQ(reopened.kind(), FibKind::kTz);
   const std::vector<std::pair<NodeId, NodeId>> queries = {
       {0, 2}, {2, 0}, {0, 1}, {1, 0}};
@@ -272,7 +275,7 @@ TEST(BlobLayout, TzGoldenBytesReopenAndServe) {
 TEST(BlobLayout, OlderMagicsAreRejectedWithAClearError) {
   const FlatFib fib = build_golden_fib();
   const auto blob = fib.blob();
-  for (const char* magic : {"CPRFIB02", "CPRFIB03", "CPRFIB04"}) {
+  for (const char* magic : {"CPRFIB02", "CPRFIB03", "CPRFIB04", "CPRFIB05"}) {
     SCOPED_TRACE(magic);
     std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
     std::memcpy(bytes.data(), magic, 8);
@@ -316,11 +319,11 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
   // reserved u32 | payload_bytes u64 | checksum u64 — 40 bytes, all
   // little-endian.
   ASSERT_GE(blob.size(), 40u);
-  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB05", 8), 0);
+  EXPECT_EQ(std::memcmp(blob.data(), "CPRFIB06", 8), 0);
   EXPECT_EQ(read_le<std::uint32_t>(blob, 8), 3u);   // kind = kCowen
   EXPECT_EQ(read_le<std::uint32_t>(blob, 12), 3u);  // node_count
   const std::uint32_t sections = read_le<std::uint32_t>(blob, 16);
-  EXPECT_EQ(sections, 9u);  // 3 topology + 5 cowen + synthesized mirror
+  ASSERT_EQ(sections, 8u);  // 3 topology + 5 cowen
   EXPECT_EQ(read_le<std::uint32_t>(blob, 20), 0u);  // reserved
   const std::uint64_t payload_bytes = read_le<std::uint64_t>(blob, 24);
   EXPECT_EQ(40u + 24u * sections + payload_bytes +
@@ -329,14 +332,12 @@ TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {
 
   // Directory: 24-byte entries {id u32, pad u32, offset u64, bytes u64}
   // starting at byte 40; offsets are blob-relative and 64-byte aligned;
-  // sections appear in the order the builder added them, with the
-  // synthesized Eytzinger mirror appended last.
+  // sections appear in the order the builder added them.
   const std::uint32_t expected_ids[] = {
       fib_section::kTopoOffsets,       fib_section::kTopoNeighbor,
       fib_section::kTopoEdge,          fib_section::kCowenRowOff,
       fib_section::kCowenRowLen,       fib_section::kCowenRows,
       fib_section::kCowenLandmark,     fib_section::kCowenLandmarkPort,
-      fib_section::kCowenRowsEyt,
   };
   std::uint64_t prev_end = 40 + 24ull * sections;
   for (std::uint32_t s = 0; s < sections; ++s) {

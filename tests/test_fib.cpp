@@ -238,7 +238,7 @@ TEST(FibBlob, EveryByteFlipIsRejected) {
 // one.
 TEST(FibBlob, TzEveryByteFlipIsRejected) {
   const FlatFib fib = sample_tz_fib();
-  ASSERT_EQ(fib.blob_version(), 5u);
+  ASSERT_EQ(fib.blob_version(), 6u);
   expect_every_byte_flip_rejected(fib);
 }
 

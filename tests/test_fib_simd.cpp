@@ -6,11 +6,10 @@
 // results — delivered flags, hop-by-hop paths, path lengths — which this
 // suite checks against each other and against the object oracle over the
 // same 50-seed random-graph corpus as test_fib.cpp, at 1 and 8 threads,
-// with and without path recording, and with the hot-destination cache on
-// (the cache memoizes a pure function, so it must never change answers,
-// only speed). A larger Cowen instance pushes row lengths past
-// kRowSearchLinearCutoff so the Eytzinger search — not just the short-row
-// scan — is exercised, and a corrupted mirror is rejected by the loader.
+// with and without path recording. A larger Cowen instance pushes rows
+// many levels deep so the Eytzinger descent runs long, the one row
+// search is checked exhaustively against std::find on short rows, and a
+// row whose Eytzinger order is broken is rejected by the loader.
 //
 // Under TSan (or off x86-64) fib_simd_supported() is false and kSimd
 // resolves to scalar; the differential pairs then compare scalar against
@@ -31,6 +30,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -71,18 +71,16 @@ void expect_same_output(const FibBatchOutput& a, const FibBatchOutput& b,
 
 FibBatchOutput run(const FlatFib& fib,
                    const std::vector<std::pair<NodeId, NodeId>>& queries,
-                   FibDispatch dispatch, ThreadPool* pool, bool record_paths,
-                   bool hot_cache) {
+                   FibDispatch dispatch, ThreadPool* pool, bool record_paths) {
   FibBatchOptions opt;
   opt.pool = pool;
   opt.dispatch = dispatch;
   opt.record_paths = record_paths;
-  opt.hot_dest_cache = hot_cache;
   return forward_batch(fib, queries, opt);
 }
 
 // The full scalar-vs-SIMD battery for one compiled scheme: paths on/off,
-// hot cache on/off, 1 and 8 threads, all anchored to the object oracle.
+// 1 and 8 threads, all anchored to the object oracle.
 template <typename S>
 void check_dispatch_identical(
     const S& scheme, const Graph& g,
@@ -94,9 +92,8 @@ void check_dispatch_identical(
   const auto oracle = route_batch_object(scheme, g, queries, &pool1);
 
   for (ThreadPool* pool : {&pool1, &pool8}) {
-    const auto scalar =
-        run(fib, queries, FibDispatch::kScalar, pool, true, false);
-    const auto simd = run(fib, queries, FibDispatch::kSimd, pool, true, false);
+    const auto scalar = run(fib, queries, FibDispatch::kScalar, pool, true);
+    const auto simd = run(fib, queries, FibDispatch::kSimd, pool, true);
     expect_same_output(scalar, simd, /*compare_paths=*/true, "paths");
 
     // Anchor to the oracle, not just to each other.
@@ -112,20 +109,13 @@ void check_dispatch_identical(
       }
     }
 
-    // Stats-only serving mode (the refilling lockstep walk) and the
-    // hot-destination cache must both be invisible in the outputs.
+    // Stats-only serving mode (the refilling lockstep walk) must be
+    // invisible in the outputs.
     const auto scalar_stats =
-        run(fib, queries, FibDispatch::kScalar, pool, false, false);
-    const auto simd_stats =
-        run(fib, queries, FibDispatch::kSimd, pool, false, false);
-    const auto simd_cached =
-        run(fib, queries, FibDispatch::kSimd, pool, false, true);
-    const auto scalar_cached =
-        run(fib, queries, FibDispatch::kScalar, pool, false, true);
+        run(fib, queries, FibDispatch::kScalar, pool, false);
+    const auto simd_stats = run(fib, queries, FibDispatch::kSimd, pool, false);
     expect_same_output(scalar, scalar_stats, false, "scalar stats");
     expect_same_output(scalar, simd_stats, false, "simd stats");
-    expect_same_output(scalar, simd_cached, false, "simd hot-cache");
-    expect_same_output(scalar, scalar_cached, false, "scalar hot-cache");
   }
 }
 
@@ -158,7 +148,7 @@ TEST_P(FibSimdSeeds, CowenFamilyDispatchIdentical) {
                            all_pairs(inst.graph.node_count()), "cowen");
 }
 
-// The kTz lockstep walker shares the Cowen row kernels but adds the
+// The kTz walker shares the Cowen row search but adds the
 // name → label dictionary resolve and the label-space deliver test; the
 // scalar path is its reference, the object path the oracle. The 50-seed
 // corpus runs a fresh label permutation per seed.
@@ -220,19 +210,12 @@ TEST(FibSimdDispatch, EdgeDownBatchesArePinnedToScalar) {
   }
 }
 
-// The compiled rows and the CSR adjacency use the same linear-scan
-// crossover; if one is re-pinned the other must be re-measured too
-// (see the comments at both definitions).
-TEST(FibSimdDispatch, RowCutoffMatchesCsrPortCutoff) {
-  EXPECT_EQ(kRowSearchLinearCutoff, CsrGraph::kPortToLinearScanCutoff);
-}
+// ---- Long Cowen rows: deep Eytzinger descents ----
 
-// ---- Long Cowen rows: the Eytzinger search path ----
-
-// At n = 600 the landmark/cluster rows are far longer than
-// kRowSearchLinearCutoff, so lookups take the Eytzinger branch (and the
-// AVX2 short-row scan only for the short tail). The premise is asserted,
-// not assumed.
+// At n = 600 the landmark/cluster rows run to dozens of entries, so the
+// row search descends many levels (and spans cache lines, where its
+// prefetch matters) instead of resolving within one line. The premise
+// is asserted, not assumed.
 TEST(FibSimdLargeRows, CowenEytzingerPathDispatchIdentical) {
   const ShortestPath alg{1024};
   const std::size_t n = 600;
@@ -244,16 +227,14 @@ TEST(FibSimdLargeRows, CowenEytzingerPathDispatchIdentical) {
   const FlatFib fib = compile_fib(scheme, g);
 
   const auto& cowen = fib.cowen();
-  ASSERT_NE(cowen.eyt, nullptr);
   std::uint32_t longest = 0;
   for (NodeId v = 0; v < n; ++v) {
     longest = std::max(longest, cowen.row_len[v]);
   }
-  ASSERT_GT(longest, kRowSearchLinearCutoff)
-      << "instance too small to exercise the Eytzinger branch";
+  ASSERT_GT(longest, 32u) << "instance too small for deep row descents";
 
-  // Uniform pairs plus a Zipf draw (skew concentrates destinations, the
-  // hot-cache's intended regime).
+  // Uniform pairs plus a Zipf draw (skew concentrates destinations on a
+  // few hot rows).
   Rng qrng(1234);
   std::vector<std::pair<NodeId, NodeId>> queries;
   for (std::size_t i = 0; i < 2000; ++i) {
@@ -271,8 +252,8 @@ TEST(FibSimdLargeRows, CowenEytzingerPathDispatchIdentical) {
 }
 
 // Same large instance through the TZ layer: label-keyed rows of the same
-// lengths, so the kTz lockstep walker's Eytzinger branch (shared with
-// Cowen) runs against label keys, after a dictionary resolve per query.
+// lengths, so the row search (shared with Cowen) runs deep against label
+// keys, after a dictionary resolve per query.
 TEST(FibSimdLargeRows, TzEytzingerPathDispatchIdentical) {
   const ShortestPath alg{1024};
   const std::size_t n = 600;
@@ -285,13 +266,11 @@ TEST(FibSimdLargeRows, TzEytzingerPathDispatchIdentical) {
   const FlatFib fib = compile_fib(scheme, g);
 
   const auto& cowen = fib.cowen();
-  ASSERT_NE(cowen.eyt, nullptr);
   std::uint32_t longest = 0;
   for (NodeId v = 0; v < n; ++v) {
     longest = std::max(longest, cowen.row_len[v]);
   }
-  ASSERT_GT(longest, kRowSearchLinearCutoff)
-      << "instance too small to exercise the Eytzinger branch";
+  ASSERT_GT(longest, 32u) << "instance too small for deep row descents";
 
   Rng qrng(1234);
   std::vector<std::pair<NodeId, NodeId>> queries;
@@ -309,7 +288,55 @@ TEST(FibSimdLargeRows, TzEytzingerPathDispatchIdentical) {
   check_dispatch_identical(scheme, g, queries, "tz-large");
 }
 
-// ---- Mirror validation ----
+// ---- The one row search, exhaustively on short rows ----
+
+// Every row length from empty to several cache lines, each laid out in
+// Eytzinger order inside a capacity with zeroed slack behind it: probing
+// every present key, the gaps between them, key 0 (which must not match
+// the zeroed slack) and 0xffffffff must agree with std::find on the
+// sorted source, in both load flavours.
+TEST(FibRowLayout, RowFindAgreesWithFindOnSortedSource) {
+  for (std::uint32_t len = 0; len <= 70; ++len) {
+    SCOPED_TRACE(len);
+    // Keys 3, 6, 9, ... leave a gap on both sides of every key. Ports
+    // cycle through 0 (the entry equals the probe pack(key, 0)), the
+    // all-ones port (the entry sits just below the next key's probe) and
+    // a distinct value.
+    std::vector<std::uint64_t> sorted;
+    for (std::uint32_t i = 0; i < len; ++i) {
+      const std::uint32_t port =
+          i % 3 == 0 ? 0 : i % 3 == 1 ? 0xffffffffu : i;
+      sorted.push_back(fib_pack_entry(3 * (i + 1), port));
+    }
+    std::vector<std::uint64_t> row(len + 5, 0);  // five slots of slack
+    fib_eytzinger_inorder(len, [&](std::uint64_t k, std::uint64_t i) {
+      row[k] = sorted[i];
+    });
+    std::vector<std::uint32_t> probes = {0, 1, 0xffffffffu, 3 * len + 3};
+    for (std::uint32_t i = 0; i < len; ++i) {
+      probes.push_back(3 * (i + 1));
+      probes.push_back(3 * (i + 1) + 1);
+    }
+    for (const std::uint32_t key : probes) {
+      const auto hit =
+          std::find_if(sorted.begin(), sorted.end(), [&](std::uint64_t e) {
+            return fib_entry_key(e) == key;
+          });
+      std::uint32_t seq_port = kInvalidPort, plain_port = kInvalidPort;
+      const bool seq_found = fib_row_find<true>(row.data(), len, key, &seq_port);
+      const bool plain_found =
+          fib_row_find<false>(row.data(), len, key, &plain_port);
+      ASSERT_EQ(seq_found, hit != sorted.end()) << "key " << key;
+      ASSERT_EQ(plain_found, seq_found) << "key " << key;
+      if (hit != sorted.end()) {
+        EXPECT_EQ(seq_port, fib_entry_port(*hit)) << "key " << key;
+        EXPECT_EQ(plain_port, seq_port) << "key " << key;
+      }
+    }
+  }
+}
+
+// ---- Row layout validation (byte surgery) ----
 
 // Re-seals the header's payload checksum after byte surgery, so only the
 // deep validators can object to the corruption.
@@ -335,70 +362,15 @@ void expect_rejected_for(const std::vector<std::uint8_t>& bytes,
   }
 }
 
-// Swapping two Eytzinger mirror entries (checksum patched up) must be
-// caught by the loader's mirror-recomputation check — a wrong mirror
-// would silently misroute exact-match lookups.
-TEST(FibSimdMirror, CorruptedMirrorIsRejected) {
-  const ShortestPath alg{16};
-  auto inst = test::seeded_instance(alg, 11, kN, kP);
-  const auto scheme = CowenScheme<ShortestPath>::build(alg, inst.graph,
-                                                       inst.weights, inst.rng);
-  const FlatFib fib = compile_fib(scheme, inst.graph);
-  const auto blob = fib.blob();
-  std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
-
-  // Header: magic[8], kind u32, node_count u32, section_count u32,
-  // reserved u32, payload_bytes u64, checksum u64 (offset 32).
-  // Directory entries (24B each from offset 40): id u32, pad u32,
-  // offset u64, bytes u64.
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count, bytes.data() + 16, 4);
-
-  std::uint64_t eyt_off = 0, eyt_bytes = 0;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    const std::uint8_t* e = bytes.data() + 40 + s * 24;
-    std::uint32_t id = 0;
-    std::memcpy(&id, e, 4);
-    if (id == fib_section::kCowenRowsEyt) {
-      std::memcpy(&eyt_off, e + 8, 8);
-      std::memcpy(&eyt_bytes, e + 16, 8);
-    }
-  }
-  ASSERT_GT(eyt_bytes, 16u) << "mirror section missing or too small";
-
-  // Find two adjacent mirror entries with different values and swap them:
-  // the multiset of keys is unchanged, only the Eytzinger order breaks.
-  auto* eyt = reinterpret_cast<std::uint64_t*>(bytes.data() + eyt_off);
-  const std::size_t entries = eyt_bytes / 8;
-  std::size_t at = entries;
-  for (std::size_t i = 0; i + 1 < entries; ++i) {
-    if (eyt[i] != eyt[i + 1] && eyt[i] != 0 && eyt[i + 1] != 0) {
-      at = i;
-      break;
-    }
-  }
-  ASSERT_LT(at, entries) << "no distinct adjacent mirror entries to swap";
-  std::swap(eyt[at], eyt[at + 1]);
-
-  // Re-seal the checksum so only the mirror check can object.
-  reseal_checksum(bytes);
-  EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
-  expect_rejected_for(bytes, "Eytzinger mirror disagrees");
-}
-
-// ---- Label layer validation (byte surgery) ----
-//
-// Like the mirror test above, these corrupt a *semantic* invariant and
-// re-seal the payload checksum, so only the deep validators can object: a
-// label map that silently stopped being a permutation, or a dictionary
-// slot that disagrees with it, would misdeliver every packet whose name
-// resolves through the broken entry — to a plausible-looking wrong node.
-
 struct SectionSpan {
   std::uint64_t off = 0;
   std::uint64_t bytes = 0;
 };
 
+// Header: magic[8], kind u32, node_count u32, section_count u32,
+// reserved u32, payload_bytes u64, checksum u64 (offset 32). Directory
+// entries (24B each from offset 40): id u32, pad u32, offset u64,
+// bytes u64.
 SectionSpan locate_section(const std::vector<std::uint8_t>& bytes,
                            std::uint32_t want) {
   std::uint32_t section_count = 0;
@@ -415,6 +387,41 @@ SectionSpan locate_section(const std::vector<std::uint8_t>& bytes,
   }
   return s;
 }
+
+// Swapping two live entries of one Eytzinger row (checksum re-sealed)
+// keeps the row's key multiset but breaks its order, so the search
+// would miss keys; the loader's in-order walk must catch it.
+TEST(FibRowLayout, SwappedRowEntriesAreRejected) {
+  const ShortestPath alg{16};
+  auto inst = test::seeded_instance(alg, 11, kN, kP);
+  const auto scheme = CowenScheme<ShortestPath>::build(alg, inst.graph,
+                                                       inst.weights, inst.rng);
+  const FlatFib fib = compile_fib(scheme, inst.graph);
+  const auto& cowen = fib.cowen();
+  NodeId v = 0;
+  while (v < fib.node_count() && cowen.row_len[v] < 2) ++v;
+  ASSERT_LT(v, fib.node_count()) << "no row with two entries to swap";
+  const auto blob = fib.blob();
+  std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
+
+  const SectionSpan rows = locate_section(bytes, fib_section::kCowenRows);
+  ASSERT_GT(rows.bytes, 0u) << "row section missing";
+  auto* row = reinterpret_cast<std::uint64_t*>(bytes.data() + rows.off) +
+              cowen.row_off[v];
+  std::swap(row[0], row[1]);
+
+  reseal_checksum(bytes);
+  EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
+  expect_rejected_for(bytes, "row keys not in Eytzinger order");
+}
+
+// ---- Label layer validation (byte surgery) ----
+//
+// Like the row-order test above, these corrupt a *semantic* invariant and
+// re-seal the payload checksum, so only the deep validators can object: a
+// label map that silently stopped being a permutation, or a dictionary
+// slot that disagrees with it, would misdeliver every packet whose name
+// resolves through the broken entry — to a plausible-looking wrong node.
 
 std::vector<std::uint8_t> tz_blob_bytes() {
   const ShortestPath alg{16};
@@ -462,84 +469,6 @@ TEST(FibTzValidation, DictionarySlotDisagreeingWithLabelMapIsRejected) {
   reseal_checksum(bytes);
   EXPECT_THROW(FlatFib::from_blob(bytes), std::runtime_error);
   expect_rejected_for(bytes, "dictionary disagrees with label map");
-}
-
-// ---- The hot-destination cache probe (per-shard self-disable) ----
-
-// The cache memoizes (node, target) -> decision, which only pays under
-// skew; under uniform traffic every lookup misses and the cache is pure
-// overhead (the ROADMAP regression). Each shard therefore probes its
-// first kHotCacheProbeLookups lookups and switches itself off when the
-// early hit rate is uniform-like. The probe must be invisible in the
-// results — bit-identical with and without the cache, both workloads —
-// and visible in the counter: uniform traffic fails the probe in (at
-// least) most shards, while Zipf skew keeps the cache on in far more of
-// them. Both workloads are seeded draws, so the split is deterministic.
-TEST(FibHotCacheProbe, UniformDisablesShardsZipfKeepsThemResultsIdentical) {
-  const ShortestPath alg{1024};
-  const std::size_t n = 600;
-  Rng rng(97);
-  const Graph g = erdos_renyi_connected(n, 6.0 / static_cast<double>(n - 1),
-                                        rng);
-  const auto w = test::sampled_weights(alg, g, rng);
-  const auto scheme = CowenScheme<ShortestPath>::build(alg, g, w, rng);
-  const FlatFib fib = compile_fib(scheme, g);
-
-  const auto draw = [&](WorkloadGenerator::Kind kind, double zipf_s) {
-    Rng qrng(4242);
-    WorkloadGenerator gen(kind, g, qrng, /*hotspot_count=*/4,
-                          /*hotspot_fraction=*/0.7, zipf_s);
-    std::vector<std::pair<NodeId, NodeId>> q;
-    q.reserve(20000);
-    for (std::size_t i = 0; i < 20000; ++i) {
-      const Demand d = gen.next();
-      q.push_back({d.source, d.target});
-    }
-    return q;
-  };
-  const auto uniform = draw(WorkloadGenerator::Kind::kUniform, 1.1);
-  const auto zipf = draw(WorkloadGenerator::Kind::kZipf, 1.4);
-
-  ThreadPool pool(4);
-  std::uint32_t disabled_uniform = 0;
-  std::uint32_t disabled_zipf = 0;
-  for (const auto* queries : {&uniform, &zipf}) {
-    const bool is_uniform = queries == &uniform;
-    SCOPED_TRACE(is_uniform ? "uniform" : "zipf");
-    const auto plain =
-        run(fib, *queries, FibDispatch::kAuto, &pool, true, false);
-    const auto cached =
-        run(fib, *queries, FibDispatch::kAuto, &pool, true, true);
-    expect_same_output(plain, cached, /*compare_paths=*/true,
-                      "hot-cache probe");
-    EXPECT_EQ(plain.hot_cache_disabled_shards, 0u)
-        << "the counter must stay 0 with the cache off";
-    EXPECT_EQ(plain.hot_cache_lookups, 0u)
-        << "lookup counters must stay 0 with the cache off";
-    (is_uniform ? disabled_uniform : disabled_zipf) =
-        cached.hot_cache_disabled_shards;
-    if (!is_uniform) {
-      // Hit-rate floor on the Zipf suite: the hash change from the
-      // 64-bit golden multiply to the folded 32-bit Fibonacci multiply
-      // must not cost collisions where the cache earns its keep. The
-      // steady-state Zipf(1.4) hit rate sits well above 1/2; 0.35 leaves
-      // slack for probe-window misses while catching any real
-      // distribution regression.
-      ASSERT_GT(cached.hot_cache_lookups, 0u);
-      const double hit_rate =
-          static_cast<double>(cached.hot_cache_hits) /
-          static_cast<double>(cached.hot_cache_lookups);
-      EXPECT_GT(hit_rate, 0.35)
-          << "zipf hot-cache hit rate regressed (hits="
-          << cached.hot_cache_hits << " lookups="
-          << cached.hot_cache_lookups << ")";
-    }
-  }
-
-  EXPECT_GT(disabled_uniform, static_cast<std::uint32_t>(kFibShards / 2))
-      << "uniform traffic should fail the probe in most shards";
-  EXPECT_LT(disabled_zipf, disabled_uniform)
-      << "zipf skew should keep the cache on where it earns its keep";
 }
 
 }  // namespace

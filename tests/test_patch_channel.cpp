@@ -31,6 +31,7 @@
 #include "fib/forward_engine.hpp"
 #include "fib/patch_channel.hpp"
 #include "scheme/cowen.hpp"
+#include "scheme/tz_name_independent.hpp"
 #include "sim/churn.hpp"
 #include "test_support.hpp"
 
@@ -47,6 +48,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -147,7 +149,8 @@ const std::string kGoldenPath =
 // The golden arena of test_blob_layout.cpp: a 3-node path 0-1-2 with
 // fully hand-written Cowen sections — every byte of the embedded blob is
 // determined by the builder and the format, no RNG — so the golden file
-// pins exactly the segment serialization layer.
+// pins exactly the segment serialization layer. Rows are in Eytzinger
+// order (node 1's two-entry row stores its larger key first).
 FlatFib build_golden_fib() {
   Graph g(3);
   g.add_edge(0, 1);  // edge 0: port 0 at both ends
@@ -158,7 +161,7 @@ FlatFib build_golden_fib() {
   const std::vector<std::uint32_t> row_len = {1, 2, 1};
   const std::vector<std::uint64_t> rows = {
       fib_pack_entry(1, 0), 0,                     // node 0 (+slack)
-      fib_pack_entry(0, 0), fib_pack_entry(2, 1),  // node 1
+      fib_pack_entry(2, 1), fib_pack_entry(0, 0),  // node 1
       fib_pack_entry(1, 0), 0,                     // node 2 (+slack)
   };
   const std::vector<std::uint32_t> landmark = {1, 1, 1};
@@ -380,6 +383,71 @@ TEST(PatchChannelLive, ReaderFallsBackToPlainStores) {
   EXPECT_EQ(arena->seq(), 0u);
   EXPECT_EQ(arena->patches_applied(), 0u);
   EXPECT_EQ(serve_hash(arena->fib(), queries), h0);
+}
+
+// A consistent relabeling of names a and b on a kTz arena: both label
+// map slots swapped, and every dictionary bucket holding either name
+// rewritten to match (one patch when they share a bucket).
+FibDelta label_swap_delta(const FlatFib& fib, NodeId a, NodeId b) {
+  const auto& tz = fib.tz();
+  std::vector<std::uint32_t> label(tz.label_of, tz.label_of + fib.node_count());
+  std::swap(label[a], label[b]);
+  FibDelta d;
+  d.touched_nodes = 2;
+  d.patches.push_back(fib_patch_u32(fib_section::kLabelMap, a, label[a]));
+  d.patches.push_back(fib_patch_u32(fib_section::kLabelMap, b, label[b]));
+  const std::set<std::uint64_t> buckets = {
+      fib_dict_bucket(a, tz.dict_bucket_count),
+      fib_dict_bucket(b, tz.dict_bucket_count)};
+  for (const std::uint64_t bkt : buckets) {
+    std::vector<std::uint64_t> slots;
+    for (std::uint64_t i = 0; i < tz.dict_bucket_cap; ++i) {
+      const std::uint64_t e = tz.dict[bkt * tz.dict_bucket_cap + i];
+      if (e == kFibDictEmpty) break;
+      const std::uint32_t name = fib_entry_key(e);
+      slots.push_back(fib_pack_entry(name, label[name]));
+    }
+    d.patches.push_back(fib_patch_row_u64(fib_section::kDictionary,
+                                          static_cast<std::uint32_t>(bkt),
+                                          slots));
+  }
+  return d;
+}
+
+// Label-map and dictionary patches go through the channel like row
+// patches: the writer must fold their words into the segment checksum,
+// or the sealed segment reads as checksum-stale and every reader falls
+// back to the pristine file, losing the patch.
+TEST(PatchChannelLive, TzLabelSwapIsSealedAndAdopted) {
+  StoreDir dir("tz_label_swap");
+  const ShortestPath alg{16};
+  auto inst = test::seeded_instance(alg, 5, kN, kP);
+  const auto scheme = TzNameIndependentScheme<ShortestPath>::build(
+      alg, inst.graph, inst.weights, inst.rng);
+  const FlatFib fib0 = compile_fib(scheme, inst.graph,
+                                   fib_churn_maintain_options().compile);
+  const auto queries = all_pairs(fib0.node_count());
+  const FibDelta swap = label_swap_delta(fib0, 0, 1);
+  FlatFib patched = writable_copy(fib0);
+  ASSERT_TRUE(patched.apply_delta(swap));
+  const auto blob = patched.blob();
+  ASSERT_NO_THROW(FlatFib::from_blob({blob.data(), blob.size()}))
+      << "the swap must be a consistent label layer";
+  const std::uint64_t h1 = batch_hash(forward_batch(patched, queries));
+  ASSERT_NE(batch_hash(forward_batch(fib0, queries)), h1)
+      << "the probe swap must change serving";
+
+  auto writer = PatchChannelWriter::acquire(dir.path, 11);
+  EXPECT_EQ(writer.publish(fib0), 1u);
+  ASSERT_TRUE(writer.apply(swap));
+
+  PatchChannelReader reader(dir.path);
+  const auto arena = reader.current();
+  ASSERT_NE(arena, nullptr);
+  EXPECT_TRUE(arena->via_channel())
+      << "the sealed segment must validate, not fall back to the file";
+  EXPECT_EQ(arena->patches_applied(), 1u);
+  EXPECT_EQ(serve_hash(arena->fib(), queries), h1);
 }
 
 TEST(PatchChannelLive, WatcherAdoptsPatchesInPlaceAndCutsOverOnPublish) {

@@ -14,11 +14,16 @@
 // precomputed fresh-compile hashes in that range. Every hash is computed
 // from the full output (delivered + loop flags + hop-by-hop paths), so
 // "legal" really means bit-identical serving.
+//
+// Half the readers force the lockstep walk (kSimd) and half the scalar
+// one, so both load flavours of the row search race the patcher; the
+// race runs over a Cowen plane and over a TZ plane.
 #include "algebra/primitives.hpp"
 #include "fib/compile.hpp"
 #include "fib/fib_delta.hpp"
 #include "fib/forward_engine.hpp"
 #include "scheme/cowen.hpp"
+#include "scheme/tz_name_independent.hpp"
 #include "sim/churn.hpp"
 #include "test_support.hpp"
 
@@ -45,12 +50,13 @@ using test::batch_hash;
 
 class ServingSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
-// Satellite: 1 patcher thread driving the churn trace against 8 reader
-// threads; every completed batch must be bit-identical to a fresh
-// compile of some legally observable generation.
-TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
+// 1 patcher thread driving the churn trace against 8 reader threads;
+// every completed batch must be bit-identical to a fresh compile of some
+// legally observable generation. `Scheme` is a landmark scheme built by
+// Scheme::build(alg, g, w, rng) and repaired by apply_event.
+template <typename Scheme>
+void race_live_patcher(std::uint64_t seed) {
   const ShortestPath alg{16};
-  const std::uint64_t seed = GetParam();
   auto inst = test::seeded_instance(alg, seed, kN, kP);
   const Graph& g = inst.graph;
   Rng trace_rng(seed ^ 0x5e41ull);
@@ -66,8 +72,8 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
   {
     auto inst2 = test::seeded_instance(alg, seed, kN, kP);
     ChurnEngine<ShortestPath> engine(alg, inst2.graph, inst2.weights);
-    auto scheme = CowenScheme<ShortestPath>::build(alg, inst2.graph,
-                                                   inst2.weights, inst2.rng);
+    auto scheme =
+        Scheme::build(alg, inst2.graph, inst2.weights, inst2.rng);
     expected.push_back(
         batch_hash(forward_batch(compile_fib(scheme, inst2.graph), queries)));
     for (const auto& ev : trace) {
@@ -80,14 +86,13 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
   }
 
   ChurnEngine<ShortestPath> engine(alg, g, inst.weights);
-  auto scheme =
-      CowenScheme<ShortestPath>::build(alg, g, inst.weights, inst.rng);
+  auto scheme = Scheme::build(alg, g, inst.weights, inst.rng);
   // Force the in-place seqlock path (as the delta corpus tests do): on
   // these small graphs the natural thresholds would compact away the
   // very races this test exists to provoke.
   FibMaintainOptions mopt = fib_churn_maintain_options();
   mopt.compaction_fraction = 2.0;
-  MaintainedFib<CowenScheme<ShortestPath>> plane(scheme, g, mopt);
+  MaintainedFib<Scheme> plane(scheme, g, mopt);
 
   std::atomic<std::size_t> started{0};   // events whose absorb began
   std::atomic<std::size_t> finished{0};  // events whose absorb completed
@@ -99,11 +104,16 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
   std::vector<std::thread> readers;
   readers.reserve(kReaderThreads);
   for (std::size_t r = 0; r < kReaderThreads; ++r) {
-    readers.emplace_back([&] {
+    // kAuto would resolve these small arenas to scalar, so pin half the
+    // readers to the lockstep walk (scalar itself under TSan).
+    const FibDispatch dispatch =
+        r % 2 == 0 ? FibDispatch::kSimd : FibDispatch::kScalar;
+    readers.emplace_back([&, dispatch] {
       ThreadPool pool(1);
       FibBatchOptions opt;
       opt.pool = &pool;
       opt.seqlock_max_retries = 1u << 20;
+      opt.dispatch = dispatch;
       while (!stop.load(std::memory_order_acquire)) {
         const std::size_t lo = finished.load(std::memory_order_acquire);
         const auto arena = plane.arena();
@@ -147,6 +157,14 @@ TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
   EXPECT_GT(batches.load(), 0u);
   EXPECT_GT(plane.stats().patched, 0u)
       << "trace never exercised the seqlock patch path";
+}
+
+TEST_P(ServingSeeds, ConcurrentBatchesMatchSomeLegalGeneration) {
+  race_live_patcher<CowenScheme<ShortestPath>>(GetParam());
+}
+
+TEST_P(ServingSeeds, TzConcurrentBatchesMatchSomeLegalGeneration) {
+  race_live_patcher<TzNameIndependentScheme<ShortestPath>>(GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, ServingSeeds,
