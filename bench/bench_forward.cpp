@@ -3,8 +3,8 @@
 // The compiled-plane claim is quantitative: serving a query batch from a
 // FlatFib arena (fib/forward_engine.cpp) must beat the object-based
 // route_batch oracle it is differentially tested against. Per scheme
-// family (heavy-path tree, interval, Cowen landmarks, RLE tables) and
-// sweep size, this bench times the same seeded query batch three ways —
+// family (heavy-path tree, interval, Cowen landmarks, TZ) and sweep
+// size, this bench times the same seeded query batch three ways —
 // object oracle (per-query make_header + virtual-free but pointer-chasing
 // forward()), compiled plane with path recording (what the rewired
 // route_batch serves), and compiled plane stats-only (record_paths off,
@@ -40,8 +40,6 @@
 #include "algebra/primitives.hpp"
 #include "fib/compile.hpp"
 #include "fib/forward_engine.hpp"
-#include "routing/dijkstra.hpp"
-#include "scheme/compressed_table.hpp"
 #include "scheme/cowen.hpp"
 #include "scheme/interval_router.hpp"
 #include "scheme/spanning_tree.hpp"
@@ -53,7 +51,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <vector>
 
@@ -268,22 +265,6 @@ void run_tz(std::size_t n, std::size_t n_queries,
   run_family("tz", scheme, g, n_queries, flavors, /*with_zipf=*/true, out);
 }
 
-void run_ctable(std::size_t n, std::size_t n_queries,
-                const std::vector<Flavor>& flavors,
-                std::vector<SuiteResult>& out) {
-  const auto [g, w] = bench::sweep_instance(n);
-  const ShortestPath alg{1024};
-  const auto trees = all_pairs_trees(alg, g, w);
-  std::vector<std::vector<NodeId>> next_hop(n);
-  for (NodeId t = 0; t < n; ++t) next_hop[t] = trees[t].parent;
-  const auto tree_edges = preferred_spanning_tree(alg, g, w);
-  const RootedTree tree = RootedTree::from_edges(g, tree_edges, 0);
-  const CompressedTableScheme scheme(
-      g, next_hop, CompressedTableScheme::dfs_relabeling(g, tree.parent, 0));
-  run_family("ctable", scheme, g, n_queries, flavors, /*with_zipf=*/false,
-             out);
-}
-
 // ---- JSON output ----
 
 void write_json(std::ostream& os, const std::vector<SuiteResult>& suites,
@@ -325,92 +306,17 @@ void write_json(std::ostream& os, const std::vector<SuiteResult>& suites,
 
 // ---- Baseline regression guard ----
 //
-// Minimal self-parse of a previously committed BENCH_forward.json: the
-// writer above emits suite fields in a fixed order, so a forward scan per
-// "family" occurrence recovers (family, n, threads, ns_per_hop) without a
-// JSON library. The needles are exact ("\"ns_per_hop\":" does not match
-// "ns_per_hop_paths", nor the "ns_per_hop_hot_cache" field of older
-// baselines), and family names are distinct per (workload, dispatch)
-// flavor, so a v2 file self-compares cleanly and a v1 baseline still
-// matches its surviving native keys.
-
-struct BaselineEntry {
-  std::string family;
-  std::size_t n = 0;
-  std::size_t threads = 0;
-  double ns_per_hop = -1;
-};
-
-bool scan_number(const std::string& text, std::size_t from, std::size_t until,
-                 const std::string& key, double* out) {
-  const std::string needle = "\"" + key + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos || at >= until) return false;
-  *out = std::strtod(text.c_str() + at + needle.size(), nullptr);
-  return true;
-}
-
-std::vector<BaselineEntry> parse_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  std::vector<BaselineEntry> entries;
-  std::size_t pos = 0;
-  while ((pos = text.find("\"family\":", pos)) != std::string::npos) {
-    const std::size_t q0 = text.find('"', pos + 9);
-    const std::size_t q1 =
-        q0 == std::string::npos ? std::string::npos : text.find('"', q0 + 1);
-    if (q1 == std::string::npos) break;
-    const std::size_t next =
-        std::min(text.find("\"family\":", q1), text.size());
-    BaselineEntry e;
-    e.family = text.substr(q0 + 1, q1 - q0 - 1);
-    double n = 0, threads = 0, ns = -1;
-    if (scan_number(text, q1, next, "n", &n) &&
-        scan_number(text, q1, next, "threads", &threads) &&
-        scan_number(text, q1, next, "ns_per_hop", &ns)) {
-      e.n = static_cast<std::size_t>(n);
-      e.threads = static_cast<std::size_t>(threads);
-      e.ns_per_hop = ns;
-      entries.push_back(std::move(e));
-    }
-    pos = q1;
-  }
-  return entries;
-}
-
+// Every suite is gated on ns_per_hop by (family, n, threads), with no
+// cushion: family names are distinct per (workload, dispatch) flavor, so
+// a v2 file self-compares cleanly and a v1 baseline still matches its
+// surviving native keys.
 int check_baseline(const std::string& path,
                    const std::vector<SuiteResult>& suites) {
-  constexpr double kMaxRegression = 1.25;  // fail if ns/hop worsens > 25%
-  const auto baseline = parse_baseline(path);
-  if (baseline.empty()) {
-    std::cerr << "baseline " << path << " is missing or unparseable\n";
-    return 1;
-  }
-  std::size_t matched = 0, regressed = 0;
+  std::vector<bench::GateEntry> live;
   for (const SuiteResult& s : suites) {
-    for (const BaselineEntry& b : baseline) {
-      if (b.family != s.family || b.n != s.n || b.threads != s.threads) {
-        continue;
-      }
-      ++matched;
-      if (s.ns_per_hop > b.ns_per_hop * kMaxRegression) {
-        ++regressed;
-        std::cerr << "REGRESSION " << s.family << " n=" << s.n
-                  << " threads=" << s.threads << ": ns/hop "
-                  << b.ns_per_hop << " -> " << s.ns_per_hop << " (>"
-                  << (kMaxRegression - 1) * 100 << "%)\n";
-      }
-    }
+    live.push_back({s.family, s.n, s.threads, s.ns_per_hop, 0});
   }
-  if (matched == 0) {
-    std::cerr << "baseline has no entries matching this run\n";
-    return 1;
-  }
-  std::cout << "baseline check: " << matched << " entries compared, "
-            << regressed << " regressed\n";
-  return regressed == 0 ? 0 : 1;
+  return bench::check_baseline(path, {"family", "ns_per_hop", true}, live);
 }
 
 }  // namespace
@@ -428,17 +334,15 @@ int main(int argc, char** argv) {
   const std::vector<cpr::Flavor> flavors = cpr::dispatch_flavors(args.dispatch);
 
   // Quick mode keeps every family at n=1000 — keys a full-mode committed
-  // baseline also carries, so the CI smoke run can diff against it. The
-  // ctable sweep stops at 1000 in both modes (its construction needs all
-  // n preferred trees, Θ(n²) memory); cowen stops at 10k for the same
-  // reason as bench_json's cowen_build suite.
+  // baseline also carries, so the CI smoke run can diff against it.
+  // cowen stops at 10k for the same reason as bench_json's cowen_build
+  // suite.
   const std::vector<std::size_t> tree_ns =
       args.quick ? std::vector<std::size_t>{1000}
                  : std::vector<std::size_t>{1000, 10000, 50000};
   const std::vector<std::size_t> cowen_ns =
       args.quick ? std::vector<std::size_t>{1000}
                  : std::vector<std::size_t>{1000, 10000};
-  const std::vector<std::size_t> ctable_ns{1000};
   const std::size_t n_queries = args.quick ? 20000 : 200000;
 
   std::vector<cpr::SuiteResult> suites;
@@ -460,11 +364,6 @@ int main(int argc, char** argv) {
   if (want("tz")) {
     for (const std::size_t n : cowen_ns) {
       cpr::run_tz(n, n_queries, flavors, suites);
-    }
-  }
-  if (want("ctable")) {
-    for (const std::size_t n : ctable_ns) {
-      cpr::run_ctable(n, n_queries, flavors, suites);
     }
   }
   for (const auto& s : suites) {

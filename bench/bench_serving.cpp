@@ -58,7 +58,6 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
-#include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
@@ -491,104 +490,26 @@ SuiteResult staleness_suite(const ServingInstance& inst, std::size_t patches) {
 
 // ---- Baseline guard (CI bench-smoke) ----
 
-// Mirrors bench_churn's guard: parse the committed BENCH_serving.json,
-// match by (name, n), fail on >25% regression of the churn suite's
-// batch p99 and the staleness suite's patch-visibility p99 — the two
-// latency promises the seqlock protocol (in-process and cross-process)
-// exists to keep. The idle and store suites are reported but not gated:
-// fsync and build cost drift too much across machines for a hard gate.
-struct BaselineEntry {
-  std::string name;
-  std::size_t n = 0;
-  double p99_us = 0;
-};
-
-bool scan_number(const std::string& text, std::size_t from, std::size_t until,
-                 const char* key, double* out) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = text.find(needle, from);
-  if (at == std::string::npos || at >= until) return false;
-  *out = std::strtod(text.c_str() + at + needle.size(), nullptr);
-  return true;
-}
-
-std::vector<BaselineEntry> parse_baseline(const std::string& path) {
-  std::vector<BaselineEntry> entries;
-  std::ifstream in(path);
-  if (!in) return entries;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  const std::string key = "\"name\":";
-  std::size_t at = text.find(key);
-  while (at != std::string::npos) {
-    const std::size_t next = text.find(key, at + key.size());
-    const std::size_t until = next == std::string::npos ? text.size() : next;
-    const std::size_t q0 = text.find('"', at + key.size());
-    const std::size_t q1 =
-        q0 == std::string::npos ? std::string::npos : text.find('"', q0 + 1);
-    if (q1 != std::string::npos && q1 < until) {
-      BaselineEntry e;
-      e.name = text.substr(q0 + 1, q1 - q0 - 1);
-      double n = 0, p99 = 0;
-      if (scan_number(text, q1, until, "n", &n) &&
-          scan_number(text, q1, until, "p99_us", &p99)) {
-        e.n = static_cast<std::size_t>(n);
-        e.p99_us = p99;
-        entries.push_back(std::move(e));
-      }
-    }
-    at = next;
-  }
-  return entries;
-}
-
+// Gates the churn suite's batch p99 and the staleness suite's
+// patch-visibility p99 — the two latency promises the seqlock protocol
+// (in-process and cross-process) exists to keep. The idle and store
+// suites are reported but not gated: fsync and build cost drift too much
+// across machines for a hard gate. Batch p99 under a competing patcher
+// carries scheduler jitter on ~100 µs quick-mode batches (200 µs
+// cushion); cross-process visibility rides the wakeups of two processes
+// (500 µs).
 int check_baseline(const std::string& path,
                    const std::vector<SuiteResult>& suites) {
-  const std::vector<BaselineEntry> base = parse_baseline(path);
-  if (base.empty()) {
-    std::cerr << "baseline " << path
-              << " missing or carries no batch-latency entries\n";
-    return 1;
-  }
-  constexpr double kMaxRegression = 1.25;  // fail beyond +25%
-  // Absolute cushion on top of the ratio: batch p99 under a competing
-  // patcher thread carries scheduler jitter, especially on the small
-  // quick-mode instance where batches are ~100 µs. The cross-process
-  // visibility p99 additionally rides scheduler wakeups of two
-  // processes, so its cushion is wider.
-  constexpr double kNoiseFloorUs = 200.0;
-  constexpr double kStalenessNoiseFloorUs = 500.0;
-  int failures = 0;
-  std::size_t matched = 0;
+  std::vector<bench::GateEntry> live;
   for (const SuiteResult& s : suites) {
-    const bool gated = s.name == "serving_cowen_churn" ||
-                       s.name == "serving_channel_staleness";
-    if (!gated || s.p99_us < 0) continue;
-    for (const BaselineEntry& b : base) {
-      if (b.name != s.name || b.n != s.n || b.p99_us <= 0) continue;
-      ++matched;
-      const double floor = s.name == "serving_channel_staleness"
-                               ? kStalenessNoiseFloorUs
-                               : kNoiseFloorUs;
-      const double limit = b.p99_us * kMaxRegression + floor;
-      if (s.p99_us > limit) {
-        std::cerr << "REGRESSION " << s.name << " n=" << s.n << ": batch p99 "
-                  << s.p99_us << " us vs baseline " << b.p99_us << " us (limit "
-                  << limit << " us)\n";
-        ++failures;
-      } else {
-        std::cout << "baseline ok " << s.name << " n=" << s.n << ": batch p99 "
-                  << s.p99_us << " us vs " << b.p99_us << " us\n";
-      }
-      break;
+    if (s.p99_us < 0) continue;
+    if (s.name == "serving_cowen_churn") {
+      live.push_back({s.name, s.n, 0, s.p99_us, 200.0});
+    } else if (s.name == "serving_channel_staleness") {
+      live.push_back({s.name, s.n, 0, s.p99_us, 500.0});
     }
   }
-  if (matched == 0) {
-    std::cerr << "baseline " << path
-              << ": no churn suite matches this run's sizes\n";
-    return 1;
-  }
-  return failures > 0 ? 1 : 0;
+  return bench::check_baseline(path, {"name", "p99_us"}, live);
 }
 
 // ---- JSON output ----

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <ostream>
 #include <string>
 #include <thread>
@@ -285,6 +286,115 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
 inline bool suite_wanted(const std::string& filter, const char* name) {
   return filter.empty() ||
          std::string(name).find(filter) != std::string::npos;
+}
+
+// ---- Baseline regression gate (CI bench-smoke) ----
+//
+// The JSON benches gate chosen suites against a committed BENCH_*.json
+// by self-parsing it: every writer emits one object per suite with its
+// fields in a fixed order, so a forward scan from each occurrence of the
+// key field up to the next one recovers the fields without a JSON
+// library. Needles are exact: "\"ns_per_hop\":" matches neither
+// "ns_per_hop_paths" nor an older baseline's "ns_per_hop_hot_cache".
+
+struct BaselineSpec {
+  std::string key_field;    // "name", or "family" in BENCH_forward.json
+  std::string metric;       // gated field; lower is better
+  bool by_threads = false;  // match on "threads" as well as (key, n)
+};
+
+// One gated suite: a parsed baseline entry, or a live measurement
+// carrying the absolute cushion it gets on top of the ratio (timer and
+// scheduler jitter dominate small quick-mode numbers).
+struct GateEntry {
+  std::string key;
+  std::size_t n = 0;
+  std::size_t threads = 0;
+  double value = 0;
+  double noise_floor = 0;
+};
+
+inline bool scan_number(const std::string& text, std::size_t from,
+                        std::size_t until, const std::string& key,
+                        double* out) {
+  const std::string needle = "\"" + key + "\":";
+  const std::size_t at = text.find(needle, from);
+  if (at == std::string::npos || at >= until) return false;
+  *out = std::strtod(text.c_str() + at + needle.size(), nullptr);
+  return true;
+}
+
+// Every suite object of `path` carrying n (and threads) and the metric;
+// empty when the file is missing or carries none.
+inline std::vector<GateEntry> parse_baseline(const std::string& path,
+                                             const BaselineSpec& spec) {
+  std::vector<GateEntry> entries;
+  std::ifstream in(path);
+  if (!in) return entries;
+  const std::string text((std::istreambuf_iterator<char>(in)),
+                         std::istreambuf_iterator<char>());
+  const std::string key = "\"" + spec.key_field + "\":";
+  std::size_t at = text.find(key);
+  while (at != std::string::npos) {
+    const std::size_t next = text.find(key, at + key.size());
+    const std::size_t until = next == std::string::npos ? text.size() : next;
+    const std::size_t q0 = text.find('"', at + key.size());
+    const std::size_t q1 =
+        q0 == std::string::npos ? std::string::npos : text.find('"', q0 + 1);
+    double n = 0, threads = 0, value = 0;
+    if (q1 != std::string::npos && q1 < until &&
+        scan_number(text, q1, until, "n", &n) &&
+        (!spec.by_threads ||
+         scan_number(text, q1, until, "threads", &threads)) &&
+        scan_number(text, q1, until, spec.metric, &value)) {
+      entries.push_back({text.substr(q0 + 1, q1 - q0 - 1),
+                         static_cast<std::size_t>(n),
+                         static_cast<std::size_t>(threads), value, 0});
+    }
+    at = next;
+  }
+  return entries;
+}
+
+// Compares each live entry with the baseline entry of the same key, n
+// (and threads): it regresses when value > baseline * 1.25 + its noise
+// floor. Returns the exit code — 1 on any regression, on a missing or
+// empty baseline, and when no live entry matched at all.
+inline int check_baseline(const std::string& path, const BaselineSpec& spec,
+                          const std::vector<GateEntry>& live) {
+  constexpr double kMaxRegression = 1.25;  // fail beyond +25%
+  const std::vector<GateEntry> base = parse_baseline(path, spec);
+  if (base.empty()) {
+    std::cerr << "baseline " << path << " is missing or carries no \""
+              << spec.metric << "\" entries\n";
+    return 1;
+  }
+  std::size_t matched = 0, regressed = 0;
+  for (const GateEntry& s : live) {
+    for (const GateEntry& b : base) {
+      if (b.key != s.key || b.n != s.n || b.threads != s.threads ||
+          b.value <= 0) {
+        continue;
+      }
+      ++matched;
+      const double limit = b.value * kMaxRegression + s.noise_floor;
+      const bool bad = s.value > limit;
+      regressed += bad ? 1 : 0;
+      std::ostream& os = bad ? std::cerr : std::cout;
+      os << (bad ? "REGRESSION " : "baseline ok ") << s.key << " n=" << s.n;
+      if (spec.by_threads) os << " threads=" << s.threads;
+      os << ": " << spec.metric << " " << s.value << " vs baseline " << b.value
+         << " (limit " << limit << ")\n";
+      break;
+    }
+  }
+  if (matched == 0) {
+    std::cerr << "baseline " << path << ": no entry matches this run\n";
+    return 1;
+  }
+  std::cout << "baseline check: " << matched << " entries compared, "
+            << regressed << " regressed\n";
+  return regressed == 0 ? 0 : 1;
 }
 
 }  // namespace cpr::bench

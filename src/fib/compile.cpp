@@ -1,8 +1,6 @@
 #include "fib/compile.hpp"
 
 #include "bgp/bgp_schemes.hpp"
-#include "scheme/compressed_table.hpp"
-#include "scheme/dest_table.hpp"
 #include "scheme/interval_router.hpp"
 #include "scheme/tree_router.hpp"
 
@@ -82,72 +80,6 @@ FlatFib compile_fib(const IntervalRouter& router, const Graph& g) {
   b.add_array(fib_section::kIntervalNodes, std::move(nodes));
   b.add_array(fib_section::kIntervalChildIn, std::move(child_in));
   b.add_array(fib_section::kIntervalChildPort, std::move(child_port));
-  return b.finish();
-}
-
-FlatFib compile_fib(const CompressedTableScheme& scheme, const Graph& g) {
-  const std::size_t n = g.node_count();
-  FibBuilder b(FibKind::kTable, n);
-  b.add_topology(g);
-
-  // Re-derive the RLE runs the scheme's honest bit accounting is based
-  // on: one packed (label_start, port) entry per run, first run at label
-  // 0, so a lookup is a binary search for the last run start <= label.
-  std::vector<std::uint32_t> row_off(n + 1, 0);
-  std::vector<std::uint64_t> runs;
-  std::vector<std::uint32_t> relabel(n);
-  for (NodeId u = 0; u < n; ++u) {
-    relabel[u] = scheme.relabel(u);
-    const std::vector<Port>& ports = scheme.ports_by_label(u);
-    std::size_t i = 0;
-    while (i < ports.size()) {
-      std::size_t j = i;
-      while (j < ports.size() && ports[j] == ports[i]) ++j;
-      runs.push_back(fib_pack_entry(static_cast<std::uint32_t>(i), ports[i]));
-      i = j;
-    }
-    row_off[u + 1] = static_cast<std::uint32_t>(runs.size());
-  }
-
-  b.add_array(fib_section::kTableRowOff, std::move(row_off));
-  b.add_array(fib_section::kTableRuns, std::move(runs));
-  b.add_array(fib_section::kTableRelabel, std::move(relabel));
-  return b.finish();
-}
-
-FlatFib compile_fib(const DestinationTableScheme& scheme, const Graph& g) {
-  const std::size_t n = g.node_count();
-  FibBuilder b(FibKind::kTable, n);
-  b.add_topology(g);
-
-  // Headers are destination ids, so the relabeling is the identity and
-  // the label-space rows are indexed by destination. Unreachable
-  // destinations RLE-compress as kInvalidPort runs, which stop the
-  // engine exactly where the object path returns via(kInvalidPort).
-  std::vector<std::uint32_t> row_off(n + 1, 0);
-  std::vector<std::uint64_t> runs;
-  std::vector<std::uint32_t> relabel(n);
-  std::vector<Port> ports(n);
-  for (NodeId u = 0; u < n; ++u) {
-    relabel[u] = u;
-    for (NodeId t = 0; t < n; ++t) {
-      const NodeId nh = scheme.next_hop(t, u);
-      ports[t] =
-          (t == u || nh == kInvalidNode) ? kInvalidPort : g.port_to(u, nh);
-    }
-    std::size_t i = 0;
-    while (i < n) {
-      std::size_t j = i;
-      while (j < n && ports[j] == ports[i]) ++j;
-      runs.push_back(fib_pack_entry(static_cast<std::uint32_t>(i), ports[i]));
-      i = j;
-    }
-    row_off[u + 1] = static_cast<std::uint32_t>(runs.size());
-  }
-
-  b.add_array(fib_section::kTableRowOff, std::move(row_off));
-  b.add_array(fib_section::kTableRuns, std::move(runs));
-  b.add_array(fib_section::kTableRelabel, std::move(relabel));
   return b.finish();
 }
 

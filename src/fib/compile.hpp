@@ -1,8 +1,8 @@
 // Scheme → FlatFib compilation adapters.
 //
 // Each adapter reads the construction products of a built scheme (DFS
-// labelings, resolved tree-edge ports, landmark tables, RLE rows) and
-// flattens them into the arena layout of fib/flat_fib.hpp, resolving
+// labelings, resolved tree-edge ports, landmark tables) and flattens
+// them into the arena layout of fib/flat_fib.hpp, resolving
 // every per-hop lookup the object path performs lazily — port_to calls,
 // header construction, light-index scans — at compile time. The
 // compiled plane is then served by fib/forward_engine.hpp with
@@ -12,11 +12,13 @@
 // in compile.cpp); the algebra-templated schemes get constrained
 // templates here, matched structurally so evaluate_workload's
 // `if constexpr (requires { compile_fib(scheme, g); })` dispatch can
-// probe for compilability without a closed kind list. Every scheme
-// family now compiles: the BGP planes (ProviderTreeScheme through the
-// tree-backed template, SvfcPeerMeshScheme as the kMesh kind, the
-// valley-free DestinationTableScheme baseline as kTable) included —
-// the object path remains only as the differential oracle.
+// probe for compilability without a closed kind list. The BGP planes
+// compile too (ProviderTreeScheme through the tree-backed template,
+// SvfcPeerMeshScheme as the kMesh kind). The destination-table
+// baselines (CompressedTableScheme, DestinationTableScheme) have no
+// adapter: local_memory_bits already counts them in bits per node, and
+// their O(1) object lookup beat the compiled RLE arena, so they route
+// on the object path.
 //
 // MaintainedFib keeps a compiled arena synchronized with a scheme under
 // churn: apply_event's FibDelta patches the arena in place when it can
@@ -39,8 +41,6 @@ namespace cpr {
 
 class TreeRouter;
 class IntervalRouter;
-class CompressedTableScheme;
-class DestinationTableScheme;
 class SvfcPeerMeshScheme;
 
 // Per-row slack reserved at compile time so apply_delta can grow a row
@@ -54,8 +54,6 @@ struct FibCompileOptions {
 
 FlatFib compile_fib(const TreeRouter& router, const Graph& g);
 FlatFib compile_fib(const IntervalRouter& router, const Graph& g);
-FlatFib compile_fib(const CompressedTableScheme& scheme, const Graph& g);
-FlatFib compile_fib(const DestinationTableScheme& scheme, const Graph& g);
 // The mesh compiles against the *shadow* graph (scheme.shadow()) — the
 // undirected view its ports are expressed in.
 FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow);

@@ -250,6 +250,10 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   std::memcpy(&checksum, base + kChecksumOffset, 8);
 
   if (kind_raw < 1 || kind_raw > 6) fail("unknown FIB kind");
+  if (kind_raw == 4) {
+    fail("FIB kind 4 (RLE destination tables) is no longer compiled; "
+         "table schemes route on their scheme objects");
+  }
   if (reserved != 0) fail("reserved header field is nonzero");
   if (section_count == 0 || section_count > 64) fail("bad section count");
 
@@ -490,31 +494,6 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
       }
       break;
     }
-    case FibKind::kTable: {
-      auto roff = dir.require(fs::kTableRowOff, 4, n + 1);
-      fib.table_.row_off = reinterpret_cast<const std::uint32_t*>(roff.data);
-      std::size_t runs = 0;
-      auto rr = dir.require_counted(fs::kTableRuns, 8, &runs);
-      fib.table_.runs = reinterpret_cast<const std::uint64_t*>(rr.data);
-      check_offsets(fib.table_.row_off, n, runs, "table runs");
-      auto rl = dir.require(fs::kTableRelabel, 4, n);
-      fib.table_.relabel = reinterpret_cast<const std::uint32_t*>(rl.data);
-      for (std::size_t v = 0; v < n; ++v) {
-        if (fib.table_.relabel[v] >= n) fail("table: relabel out of range");
-        const std::uint32_t* ro = fib.table_.row_off;
-        if (ro[v + 1] > ro[v] &&
-            fib_entry_key(fib.table_.runs[ro[v]]) != 0) {
-          fail("table: first run must start at label 0");
-        }
-        for (std::uint32_t i = ro[v]; i + 1 < ro[v + 1]; ++i) {
-          if (fib_entry_key(fib.table_.runs[i]) >=
-              fib_entry_key(fib.table_.runs[i + 1])) {
-            fail("table: run starts not strictly increasing");
-          }
-        }
-      }
-      break;
-    }
     case FibKind::kMesh: {
       auto info = dir.require(fs::kMeshInfo, 4, 1);
       std::uint32_t k = 0;
@@ -598,7 +577,6 @@ FlatFib::FlatFib(FlatFib&& other) noexcept
       tree_(other.tree_),
       interval_(other.interval_),
       cowen_(other.cowen_),
-      table_(other.table_),
       tz_(other.tz_),
       mesh_(other.mesh_) {}
 
@@ -623,7 +601,6 @@ FlatFib& FlatFib::operator=(FlatFib&& other) noexcept {
     tree_ = other.tree_;
     interval_ = other.interval_;
     cowen_ = other.cowen_;
-    table_ = other.table_;
     tz_ = other.tz_;
     mesh_ = other.mesh_;
   }

@@ -16,8 +16,6 @@
 //                entry in Eytzinger order, plus landmark and
 //                port-at-landmark arrays (Theorem 3's Õ(√n) tables,
 //                flattened),
-//   table      : run-length rows over label space (one u64 per run) plus
-//                the designer relabeling.
 //   mesh       : the SVFC peer-mesh plane (src/bgp): per-component
 //                heavy-path tree records with ports pre-resolved into the
 //                shadow graph, a component-id array, and the root-to-root
@@ -111,7 +109,8 @@ enum class FibKind : std::uint32_t {
   kTree = 1,      // heavy-path TreeRouter / SpanningTreeScheme
   kInterval = 2,  // classic interval routing
   kCowen = 3,     // landmark scheme tables
-  kTable = 4,     // RLE destination tables (CompressedTableScheme)
+  // 4 is retired (RLE destination tables): the loader rejects it by
+  // name, and the value is never reused.
   kMesh = 5,      // SVFC peer mesh (per-component trees + peering matrix)
   kTz = 6,        // Thorup–Zwick name-independent landmark tables:
                   // Cowen-shaped rows keyed by *label*, plus a node→label
@@ -332,11 +331,6 @@ class FlatFib {
     const std::uint32_t* landmark = nullptr;       // landmark_of per node
     const std::uint32_t* landmark_port = nullptr;  // port_at_landmark per node
   };
-  struct TableView {
-    const std::uint32_t* row_off = nullptr;  // n + 1
-    const std::uint64_t* runs = nullptr;     // packed (label_start, port)
-    const std::uint32_t* relabel = nullptr;  // original id -> label
-  };
   struct TzView {
     // Label layer of a kTz arena. The routing rows themselves live in
     // the CowenView (same capacity-CSR sections, keys are *labels*);
@@ -461,7 +455,6 @@ class FlatFib {
   const TreeView& tree() const { return tree_; }
   const IntervalView& interval() const { return interval_; }
   const CowenView& cowen() const { return cowen_; }
-  const TableView& table() const { return table_; }
   const TzView& tz() const { return tz_; }
   const MeshView& mesh() const { return mesh_; }
 
@@ -517,7 +510,6 @@ class FlatFib {
   TreeView tree_;
   IntervalView interval_;
   CowenView cowen_;
-  TableView table_;
   TzView tz_;
   MeshView mesh_;
 };
@@ -587,9 +579,6 @@ inline constexpr std::uint32_t kCowenRows = 31;  // Eytzinger-order rows
 inline constexpr std::uint32_t kCowenLandmark = 32;
 inline constexpr std::uint32_t kCowenLandmarkPort = 33;
 inline constexpr std::uint32_t kCowenRowLen = 34;  // live entries per row
-inline constexpr std::uint32_t kTableRowOff = 40;
-inline constexpr std::uint32_t kTableRuns = 41;
-inline constexpr std::uint32_t kTableRelabel = 42;
 inline constexpr std::uint32_t kMeshInfo = 50;       // [component_count]
 inline constexpr std::uint32_t kMeshComp = 51;       // component id per node
 inline constexpr std::uint32_t kMeshPeerPort = 52;   // k × k root peering ports

@@ -260,26 +260,6 @@ struct MeshWalker {
   void prefetch(NodeId v) const { CPR_PREFETCH(&t.nodes[v]); }
 };
 
-struct TableWalker {
-  const FlatFib::TableView& t;
-  std::uint32_t label = 0;
-
-  explicit TableWalker(const FlatFib& fib) : t(fib.table()) {}
-  void resolve(NodeId target) { label = t.relabel[target]; }
-  StepResult step(NodeId u) const {
-    if (t.relabel[u] == label) return {true, kInvalidPort};
-    // The containing run is the last one starting at or before the
-    // label: upper_bound on (label, max-port) lands one past it.
-    const std::uint64_t* begin = t.runs + t.row_off[u];
-    const std::uint64_t* run =
-        std::upper_bound(begin, t.runs + t.row_off[u + 1],
-                         fib_pack_entry(label, 0xffffffffu));
-    if (run == begin) return {false, kInvalidPort};
-    return {false, fib_entry_port(run[-1])};  // may be "no route"
-  }
-  void prefetch(NodeId v) const { CPR_PREFETCH(&t.runs[t.row_off[v]]); }
-};
-
 // Per-shard scratch for exact loop detection without per-query clears:
 // a node counts as visited when its stamp equals the current query's.
 struct LoopStamps {
@@ -760,9 +740,6 @@ FibBatchOutput forward_batch(const FlatFib& fib,
             break;
           case FibKind::kCowen:
             walk_kind<CowenWalker<true>, CowenWalker<false>>(job, simd);
-            break;
-          case FibKind::kTable:
-            walk_kind<TableWalker, TableWalker>(job, simd);
             break;
           case FibKind::kMesh:
             walk_kind<MeshWalker, MeshWalker>(job, simd);

@@ -53,13 +53,6 @@ class CompressedTableScheme {
 
   std::size_t run_count(NodeId u) const;
 
-  // Raw table rows, read by the FIB compiler (fib/compile.cpp) when it
-  // re-derives the RLE runs for the flat arena.
-  NodeId relabel(NodeId v) const { return relabel_[v]; }
-  const std::vector<Port>& ports_by_label(NodeId u) const {
-    return ports_by_label_[u];
-  }
-
  private:
   const Graph* graph_;
   std::vector<NodeId> relabel_;          // original -> label

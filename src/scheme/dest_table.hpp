@@ -51,10 +51,6 @@ class DestinationTableScheme {
 
   Header make_header(NodeId target) const { return target; }
 
-  // Next hop of u toward t (kInvalidNode when u == t or t unreachable);
-  // the kTable compile adapter resolves these into ports.
-  NodeId next_hop(NodeId t, NodeId u) const { return next_hop_[t][u]; }
-
   Decision forward(NodeId u, Header& h) const {
     if (u == h) return Decision::delivered();
     const NodeId nh = next_hop_[h][u];

@@ -309,6 +309,32 @@ TEST(BlobLayout, TzKindInV3ContainerIsRejected) {
   }
 }
 
+// Kind 4 was the RLE destination-table kind. It is no longer compiled,
+// so a CPRFIB06 header naming it is refused by name — not treated as an
+// unknown kind and not routed through a loader with no case for it. The
+// payload checksum is resealed so the kind alone decides.
+TEST(BlobLayout, RetiredTableKindIsRejectedByName) {
+  const FlatFib fib = build_golden_fib();
+  const auto blob = fib.blob();
+  std::vector<std::uint8_t> bytes(blob.begin(), blob.end());
+  const std::uint32_t kind = 4;
+  std::memcpy(bytes.data() + 8, &kind, 4);
+  const std::uint32_t sections = read_le<std::uint32_t>(blob, 16);
+  const std::uint64_t payload_bytes = read_le<std::uint64_t>(blob, 24);
+  const std::size_t payload_begin = (40 + 24ull * sections + 63) / 64 * 64;
+  const std::uint64_t sum =
+      fib_payload_checksum(bytes.data() + payload_begin, payload_bytes);
+  std::memcpy(bytes.data() + 32, &sum, 8);
+  try {
+    FlatFib::from_blob(bytes);
+    ADD_FAILURE() << "kind 4 accepted";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("kind 4"), std::string::npos) << what;
+    EXPECT_NE(what.find("no longer compiled"), std::string::npos) << what;
+  }
+}
+
 // The layout promises, stated as offsets — the documentation of record
 // for anyone parsing these files outside this codebase.
 TEST(BlobLayout, HeaderAndDirectoryOffsetsArePinned) {

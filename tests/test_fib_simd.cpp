@@ -18,9 +18,6 @@
 #include "algebra/primitives.hpp"
 #include "fib/compile.hpp"
 #include "fib/forward_engine.hpp"
-#include "graph/csr_graph.hpp"
-#include "routing/dijkstra.hpp"
-#include "scheme/compressed_table.hpp"
 #include "scheme/cowen.hpp"
 #include "scheme/interval_router.hpp"
 #include "scheme/spanning_tree.hpp"
@@ -159,20 +156,6 @@ TEST_P(FibSimdSeeds, TzFamilyDispatchIdentical) {
       alg, inst.graph, inst.weights, inst.rng);
   check_dispatch_identical(scheme, inst.graph,
                            all_pairs(inst.graph.node_count()), "tz");
-}
-
-TEST_P(FibSimdSeeds, TableFamilyDispatchIdentical) {
-  const ShortestPath alg{16};
-  auto inst = test::seeded_instance(alg, GetParam(), kN, kP);
-  const Graph& g = inst.graph;
-  const auto trees = all_pairs_trees(alg, CsrGraph(g), inst.weights);
-  std::vector<std::vector<NodeId>> next(g.node_count());
-  for (NodeId t = 0; t < g.node_count(); ++t) next[t] = trees[t].parent;
-  const auto tree_edges = preferred_spanning_tree(alg, g, inst.weights);
-  const RootedTree tree = RootedTree::from_edges(g, tree_edges, 0);
-  const CompressedTableScheme scheme(
-      g, next, CompressedTableScheme::dfs_relabeling(g, tree.parent, 0));
-  check_dispatch_identical(scheme, g, all_pairs(g.node_count()), "table");
 }
 
 INSTANTIATE_TEST_SUITE_P(Corpus, FibSimdSeeds,
