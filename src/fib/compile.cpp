@@ -25,14 +25,14 @@ FlatFib compile_fib(const TreeRouter& router, const Graph& g) {
     }  // else keep the default empty interval [1, 0]
     r.port_up = router.port_up(u);
     r.light_depth = router.light_depth(u);
-    r.light_off = static_cast<std::uint32_t>(light_ports.size());
+    r.light_off = fib_u32_offset(light_ports.size(), "tree light offsets");
     // Light-child descend ports in designed (decreasing-subtree) order:
     // the header's light index selects directly into this row.
     for (std::uint32_t i = 0; i < router.light_count(u); ++i) {
       light_ports.push_back(router.port_down(router.light_child(u, i)));
     }
   }
-  nodes[n].light_off = static_cast<std::uint32_t>(light_ports.size());
+  nodes[n].light_off = fib_u32_offset(light_ports.size(), "tree light offsets");
 
   // Per-target light sequences (the header payload), flattened to CSR so
   // the engine resolves make_header with two array reads instead of a
@@ -41,8 +41,9 @@ FlatFib compile_fib(const TreeRouter& router, const Graph& g) {
   std::vector<std::uint32_t> label_seq;
   for (NodeId t = 0; t < n; ++t) {
     const TreeRouter::Header h = router.make_header(t);
-    label_off[t + 1] =
-        label_off[t] + static_cast<std::uint32_t>(h.light_sequence.size());
+    label_off[t + 1] = fib_u32_offset(
+        std::uint64_t{label_off[t]} + h.light_sequence.size(),
+        "tree label offsets");
     label_seq.insert(label_seq.end(), h.light_sequence.begin(),
                      h.light_sequence.end());
   }
@@ -69,13 +70,14 @@ FlatFib compile_fib(const IntervalRouter& router, const Graph& g) {
     // arena carries the resolved port instead.
     r.parent_port =
         u == router.root() ? kInvalidPort : g.port_to(u, router.parent(u));
-    r.child_off = static_cast<std::uint32_t>(child_in.size());
+    r.child_off = fib_u32_offset(child_in.size(), "interval child offsets");
     for (NodeId c : router.children(u)) {  // dfs_in-sorted already
       child_in.push_back(router.dfs_in(c));
       child_port.push_back(g.port_to(u, c));
     }
   }
-  nodes[n].child_off = static_cast<std::uint32_t>(child_in.size());
+  nodes[n].child_off =
+      fib_u32_offset(child_in.size(), "interval child offsets");
 
   b.add_array(fib_section::kIntervalNodes, std::move(nodes));
   b.add_array(fib_section::kIntervalChildIn, std::move(child_in));
@@ -122,12 +124,12 @@ FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow) {
       rec.port_up = resolve(c, lu, u, r.port_up(lu));
     }
     rec.light_depth = r.light_depth(lu);
-    rec.light_off = static_cast<std::uint32_t>(light_ports.size());
+    rec.light_off = fib_u32_offset(light_ports.size(), "mesh light offsets");
     for (std::uint32_t i = 0; i < r.light_count(lu); ++i) {
       light_ports.push_back(resolve(c, lu, u, r.port_down(r.light_child(lu, i))));
     }
   }
-  nodes[n].light_off = static_cast<std::uint32_t>(light_ports.size());
+  nodes[n].light_off = fib_u32_offset(light_ports.size(), "mesh light offsets");
 
   // Per-target light sequences from each target's own component router;
   // dfs numbers stay component-local (the walker compares, never indexes).
@@ -137,8 +139,9 @@ FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow) {
     const std::size_t c = d.component[t];
     const TreeRouter::Header h =
         scheme.component_router(c).make_header(scheme.local_id(t));
-    label_off[t + 1] =
-        label_off[t] + static_cast<std::uint32_t>(h.light_sequence.size());
+    label_off[t + 1] = fib_u32_offset(
+        std::uint64_t{label_off[t]} + h.light_sequence.size(),
+        "mesh label offsets");
     label_seq.insert(label_seq.end(), h.light_sequence.begin(),
                      h.light_sequence.end());
   }

@@ -36,6 +36,7 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 
 namespace cpr {
 
@@ -57,6 +58,17 @@ FlatFib compile_fib(const IntervalRouter& router, const Graph& g);
 // The mesh compiles against the *shadow* graph (scheme.shadow()) — the
 // undirected view its ports are expressed in.
 FlatFib compile_fib(const SvfcPeerMeshScheme& scheme, const Graph& shadow);
+
+// Narrows a CSR offset or count to the arena's u32 width. A value past
+// UINT32_MAX throws std::length_error naming the section, instead of
+// wrapping into offsets that index the wrong rows.
+inline std::uint32_t fib_u32_offset(std::uint64_t v, const char* section) {
+  if (v > UINT32_MAX) {
+    throw std::length_error(std::string("compile_fib: ") + section +
+                            " exceed the arena's u32 offsets");
+  }
+  return static_cast<std::uint32_t>(v);
+}
 
 // Capacity CSR shared by the Cowen and TZ adapters: row u holds
 // len_of(u) live entries plus the options' slack, row_off[u + 1] =

@@ -29,6 +29,39 @@
 //   - the algorithm is generic over GraphTopology: pass the CsrGraph
 //     snapshot (all_pairs_trees does this internally) to read adjacency
 //     from packed rows.
+//
+// Unit-weight lane. When every non-φ edge of a sweep carries the same
+// weight c and the algebra is monotone, detail::tree_into replaces the
+// heap with a breadth-first search (detail::bfs_tree) whose PathTree is
+// byte-identical to the heap's. The proof:
+//   1. Every weight the heap records is a left fold W_1 = c,
+//      W_k = W_{k-1} ⊕ c: the source relaxes with the slot weight
+//      itself, every later relaxation with weights[u] ⊕ slot. So a
+//      recorded weight is a function of the recorded hop count alone.
+//   2. The monotone flag says w1 ⪯ w2 ⊕ w1: it covers the accumulated
+//      weight on the *right* of ⊕, while the fold puts it on the left.
+//      The commutative combine that the per-root trees already assume
+//      (a tree rooted at t encodes every path *to* t) swaps the sides, so
+//      W_{k-1} ⪯ c ⊕ W_{k-1} = W_k and the chain W_1 ⪯ W_2 ⪯ … never
+//      improves. Algebras flagged right_associative_only (BGP) make no
+//      such promise and stay on the heap.
+//   3. Hence (W_a, a, x) settles before (W_b, b, y) exactly when
+//      (a, x) < (b, y): a < b gives W_a ⪯ W_b, so the weight either
+//      decides for a or ties and the hop count does. Likewise a
+//      candidate "improves" (strictly better weight, or order-equal
+//      weight and fewer hops) exactly when it has fewer hops. The heap is
+//      a breadth-first search that settles layer by layer, ascending id
+//      within a layer, and each node keeps the parent that first reached
+//      it: the lowest-id node of the previous layer adjacent to it.
+//      Graph::add_edge forbids parallel edges, so that parent's port, and
+//      hence parent_edge, is unique.
+//   4. φ edges never relax (w ⊕ φ = φ), and once W_k is φ (a
+//      CappedAlgebra budget) every longer fold is φ too, so both kernels
+//      stop at the same layer.
+// The lane is picked from the weights and the algebra's flags alone
+// (gather_slot_weights); there is no switch, and the heap remains the
+// only lane for non-uniform weights. tests/test_dijkstra.cpp compares
+// the two kernels field by field.
 #pragma once
 
 #include "algebra/algebra.hpp"
@@ -38,6 +71,8 @@
 #include "util/thread_pool.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <concepts>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -485,6 +520,144 @@ void truncated_ball(const A& alg, const G& g, NodeId source,
   }
 }
 
+// Edge weights gathered into CSR slot order for a batch of sweeps, plus
+// the unit-weight lane's trigger. Every run of the batch then reads the
+// weight of port p at u from the slot next to the adjacency record it is
+// scanning (w[g.row_begin(u) + p]) instead of chasing w[edge] at a random
+// index per relaxation. `uniform` holds the one weight every non-φ slot
+// carries when the algebra is monotone (and commutative), i.e. exactly
+// when detail::bfs_tree reproduces the heap (see the header comment);
+// it is empty otherwise, and also when no slot is traversable.
+template <typename W>
+struct SlotWeights {
+  std::vector<W> w;
+  std::optional<W> uniform;
+};
+
+template <RoutingAlgebra A>
+SlotWeights<typename A::Weight> gather_slot_weights(
+    const A& alg, const CsrGraph& g, const EdgeMap<typename A::Weight>& w) {
+  using W = typename A::Weight;
+  SlotWeights<W> slots;
+  slots.w.reserve(2 * g.edge_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    for (const auto& adj : g.neighbors(v)) slots.w.push_back(w[adj.edge]);
+  }
+  if constexpr (std::equality_comparable<W>) {
+    const AlgebraProperties props = alg.properties();
+    if (!props.monotone || props.right_associative_only) return slots;
+    const W* first = nullptr;
+    for (const W& x : slots.w) {
+      if (alg.is_phi(x)) continue;
+      if (first == nullptr) {
+        first = &x;
+      } else if (!(x == *first)) {
+        return slots;
+      }
+    }
+    if (first != nullptr) slots.uniform = *first;
+  }
+  return slots;
+}
+
+namespace detail {
+
+// Per-thread BFS buffers, reused across runs like the heap scratch. The
+// bitmap is all-zero between runs (each dense layer clears the words it
+// scans), so a run pays only for the layers it touches.
+struct BfsScratch {
+  std::vector<std::uint64_t> bits;  // next layer as an n-bit set
+  std::vector<NodeId> layer;        // current layer, ascending id
+  std::vector<NodeId> next;         // next layer, discovery order
+};
+
+inline BfsScratch& bfs_scratch() {
+  thread_local BfsScratch scratch;
+  return scratch;
+}
+
+// The unit-weight lane: a top-down breadth-first search over the slot
+// weights `slot_w`, every non-φ entry of which equals `c`. Produces the
+// PathTree dijkstra_dispatch would (proof in the header comment) for a
+// monotone commutative algebra. Layers are visited in ascending id, so
+// the first node to reach v — tree.reached doubles as the visited set —
+// is the lowest-id adjacent node of the previous layer, the heap's
+// parent. Each node of layer h records W_h = W_{h-1} ⊕ c, which is
+// combine(weights[u], slot) for any parent u, as the heap computes it
+// (layer 1 records the slot weight itself); the search stops at the first
+// layer whose weight is φ. The next layer is put in id order either by
+// sorting it (sparse layers, a few ids against n/64 bitmap words) or by
+// setting it in an n-bit bitmap and scanning that in id order (dense
+// layers), so long-diameter graphs do not pay n/64 words per layer.
+template <RoutingAlgebra A>
+void bfs_tree(const A& alg, const CsrGraph& g,
+              const std::vector<typename A::Weight>& slot_w,
+              const typename A::Weight& c, NodeId source,
+              PathTree<typename A::Weight>& tree) {
+  using W = typename A::Weight;
+  const std::size_t n = g.node_count();
+  tree.reset(n, source, alg.phi());
+  BfsScratch& s = bfs_scratch();
+  const std::size_t words = (n + 63) / 64;
+  if (s.bits.size() < words) s.bits.resize(words, 0);
+  std::vector<std::uint64_t>& seen = tree.reached;
+  const auto bit = [](NodeId v) { return std::uint64_t{1} << (v & 63); };
+
+  seen[source >> 6] |= bit(source);  // visited, but not a reached node
+  s.layer.assign(1, source);
+  W layer_w = c;
+  for (std::uint32_t h = 1; !s.layer.empty(); ++h) {
+    if (h > 1) layer_w = alg.combine(layer_w, c);
+    if (alg.is_phi(layer_w)) break;
+    s.next.clear();
+    for (const NodeId u : s.layer) {
+      const std::size_t base = g.row_begin(u);
+      const auto row = g.neighbors(u);
+      for (std::size_t p = 0; p < row.size(); ++p) {
+        const NodeId v = row[p].neighbor;
+        if ((seen[v >> 6] & bit(v)) || alg.is_phi(slot_w[base + p])) continue;
+        tree.record(v, u, row[p].edge, layer_w, h);
+        s.next.push_back(v);
+      }
+    }
+    const std::size_t k = s.next.size();
+    if (k * std::bit_width(k) < words) {
+      std::sort(s.next.begin(), s.next.end());
+    } else {
+      for (const NodeId v : s.next) s.bits[v >> 6] |= bit(v);
+      s.next.clear();
+      for (std::size_t i = 0; i < words; ++i) {
+        for (std::uint64_t m = s.bits[i]; m != 0; m &= m - 1) {
+          s.next.push_back(static_cast<NodeId>(64 * i + std::countr_zero(m)));
+        }
+        s.bits[i] = 0;
+      }
+    }
+    std::swap(s.layer, s.next);
+  }
+  seen[source >> 6] &= ~bit(source);
+}
+
+// One preferred-path tree over gathered slot weights: the BFS kernel when
+// the gather found a uniform weight, the keyed or generic heap otherwise.
+template <RoutingAlgebra A>
+void tree_into(const A& alg, const CsrGraph& g,
+               const SlotWeights<typename A::Weight>& slots, NodeId source,
+               PathTree<typename A::Weight>& tree) {
+  using W = typename A::Weight;
+  if (slots.uniform) {
+    bfs_tree(alg, g, slots.w, *slots.uniform, source, tree);
+    return;
+  }
+  dijkstra_dispatch(alg, g, source, tree,
+                    [&slots, &g](NodeId u, std::size_t port,
+                                 const Graph::Adjacency&) -> const W& {
+                      return slots.w[g.row_begin(u) + port];
+                    });
+}
+
+}  // namespace detail
+
 // Runs the sweep into a caller-provided output tree (scratch frontier
 // buffers are per-thread and reused); the building block behind
 // `dijkstra` for callers that manage output reuse themselves.
@@ -509,13 +682,14 @@ PathTree<typename A::Weight> dijkstra(const A& alg, const G& g,
   return tree;
 }
 
-// All-source trees (n Dijkstra runs). In an undirected graph with a
+// All-source trees (n single-source runs through detail::tree_into, so
+// unit-weight sweeps take the BFS lane). In an undirected graph with a
 // commutative algebra, the tree rooted at t also encodes every node's
 // preferred path *to* t, which is how destination-based routing tables are
-// filled (Observation 1). The runs are independent policy-Dijkstras, so
-// they fan out over the pool; each root writes only its own pre-sized
-// slot, making the result bit-identical to the sequential loop for any
-// thread count. Pass nullptr to use the process-global pool.
+// filled (Observation 1). The runs are independent, so they fan out over
+// the pool; each root writes only its own pre-sized slot, making the
+// result bit-identical to the sequential loop for any thread count. Pass
+// nullptr to use the process-global pool.
 template <RoutingAlgebra A>
 std::vector<PathTree<typename A::Weight>> all_pairs_trees(
     const A& alg, const CsrGraph& g, const EdgeMap<typename A::Weight>& w,
@@ -523,24 +697,11 @@ std::vector<PathTree<typename A::Weight>> all_pairs_trees(
   using W = typename A::Weight;
   ThreadPool& p = pool ? *pool : ThreadPool::global();
   const std::size_t n = g.node_count();
-  // Gather edge weights into CSR slot order once for the whole sweep
-  // batch: every run then reads the weight of port p at u from the slot
-  // next to the adjacency record it is scanning, instead of chasing
-  // w[edge] at a random index per relaxation. Shared read-only across
-  // workers.
-  std::vector<W> slot_w;
-  slot_w.reserve(2 * g.edge_count());
-  for (NodeId v = 0; v < n; ++v) {
-    for (const auto& adj : g.neighbors(v)) slot_w.push_back(w[adj.edge]);
-  }
+  // Gathered once for the whole batch and shared read-only by the workers.
+  const SlotWeights<W> slots = gather_slot_weights(alg, g, w);
   std::vector<PathTree<W>> trees(n);
   parallel_for(p, 0, n, [&](std::size_t s) {
-    detail::dijkstra_dispatch(alg, g, static_cast<NodeId>(s), trees[s],
-                              [&slot_w, &g](NodeId u, std::size_t port,
-                                            const Graph::Adjacency&)
-                                  -> const W& {
-                                return slot_w[g.row_begin(u) + port];
-                              });
+    detail::tree_into(alg, g, slots, static_cast<NodeId>(s), trees[s]);
   });
   return trees;
 }

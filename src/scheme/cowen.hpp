@@ -272,9 +272,14 @@ class CowenScheme {
 
     // Phase 2 — recompute the dirty trees (same per-root sweep
     // all_pairs_trees fans out, so results are bitwise identical to the
-    // full-rebuild oracle's).
+    // full-rebuild oracle's). The slot weights, and with them the choice
+    // between the BFS lane and the heap, are redone from the post-event
+    // map on every event: a weight change that breaks uniformity falls
+    // back to the heap.
+    const SlotWeights<W> slots = gather_slot_weights(alg_, csr_, w);
     parallel_for(*pool_, 0, dirty_roots.size(), [&](std::size_t i) {
-      dijkstra_into(alg_, csr_, w, dirty_roots[i], trees_[dirty_roots[i]]);
+      detail::tree_into(alg_, csr_, slots, dirty_roots[i],
+                        trees_[dirty_roots[i]]);
     });
 
     // Phase 3 — landmark reassignment, only where a dirty landmark's row
@@ -789,15 +794,12 @@ class CowenScheme {
     const std::size_t n = graph_->node_count();
 
     // CSR-slot-aligned weights, shared read-only by every sweep (same
-    // gather all_pairs_trees does).
-    std::vector<W> slot_w;
-    slot_w.reserve(2 * csr_.edge_count());
-    for (NodeId v = 0; v < n; ++v) {
-      for (const auto& adj : csr_.neighbors(v)) slot_w.push_back(w[adj.edge]);
-    }
-    const auto slot_weight = [this, &slot_w](NodeId u, std::size_t port,
-                                             const Graph::Adjacency&)
-        -> const W& { return slot_w[csr_.row_begin(u) + port]; };
+    // gather all_pairs_trees does); landmark trees go through tree_into,
+    // truncated balls read the slots directly.
+    const SlotWeights<W> slots = gather_slot_weights(alg_, csr_, w);
+    const auto slot_weight = [this, &slots](NodeId u, std::size_t port,
+                                            const Graph::Adjacency&)
+        -> const W& { return slots.w[csr_.row_begin(u) + port]; };
 
     // Per-node nearest-landmark fold state; `weight` is bit-identical to
     // the materialized radius (both copy the landmark tree's row).
@@ -841,8 +843,7 @@ class CowenScheme {
         const std::size_t b1 = std::min(fresh.size(), b0 + batch);
         batch_trees.resize(b1 - b0);
         parallel_for(*pool_, 0, b1 - b0, [&](std::size_t i) {
-          detail::dijkstra_dispatch(alg_, csr_, fresh[b0 + i], batch_trees[i],
-                                    slot_weight);
+          detail::tree_into(alg_, csr_, slots, fresh[b0 + i], batch_trees[i]);
         });
         parallel_for(
             *pool_, 0, n,
@@ -1039,8 +1040,8 @@ class CowenScheme {
         const std::size_t b1 = std::min(landmarks.size(), b0 + batch);
         batch_trees.resize(b1 - b0);
         parallel_for(*pool_, 0, b1 - b0, [&](std::size_t i) {
-          detail::dijkstra_dispatch(alg_, csr_, landmarks[b0 + i],
-                                    batch_trees[i], slot_weight);
+          detail::tree_into(alg_, csr_, slots, landmarks[b0 + i],
+                            batch_trees[i]);
         });
         for (std::size_t i = 0; i < b1 - b0; ++i) {
           in_batch[landmarks[b0 + i]] = static_cast<std::uint32_t>(i);

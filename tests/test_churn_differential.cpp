@@ -6,9 +6,12 @@
 //   SpanningTreeScheme::apply_event  vs  SpanningTreeScheme::build
 //   CowenScheme::apply_event         vs  CowenScheme::rebuild_from
 // (rebuild_from goes through all_pairs_trees + full table construction,
-// a different code path from the per-root dijkstra_into patching, so the
+// a different code path from the per-root tree patching, so the
 // comparison is not a tautology; the Cowen repair is forced down the
-// incremental path by passing a dirty-fraction threshold > 1).
+// incremental path by passing a dirty-fraction threshold > 1). Every
+// repaired tree is also checked against the heap (dijkstra) on the
+// current weights, which pins the unit-weight BFS lane the repair and
+// the rebuild both take when every live edge weighs the same.
 //
 // When a trace fails, it is minimized before being reported: the failing
 // prefix is cut at the first mismatching event, then earlier events are
@@ -82,12 +85,13 @@ struct ChurnScenario {
   std::size_t n = 18;
   double p = 0.25;
   std::size_t events = 20;
+  ChurnTraceOptions trace_options = {};
 
   std::vector<ChurnEvent<typename A::Weight>> make_trace() const {
     auto inst = test::seeded_instance(alg, seed, n, p);
     Rng trace_rng(seed ^ 0x9e3779b97f4a7c15ull);
     return random_churn_trace(alg, inst.graph, inst.weights, events,
-                              trace_rng);
+                              trace_rng, trace_options);
   }
 
   ReplayResult replay(
@@ -115,7 +119,8 @@ struct ChurnScenario {
             SpanningTreeScheme<A>::build(alg, g, engine.weights());
         oracle.rebuild_from(engine.weights());
 
-        const std::string diff = compare(g, tree, tree_oracle, cowen, oracle);
+        const std::string diff =
+            compare(alg, g, engine.weights(), tree, tree_oracle, cowen, oracle);
         if (!diff.empty()) {
           result.outcome = ReplayOutcome::kMismatch;
           result.first_mismatch = i;
@@ -132,9 +137,14 @@ struct ChurnScenario {
     return result;
   }
 
-  // Byte-level comparison of every piece of repaired state. Returns a
-  // description of the first divergence, empty when identical.
-  static std::string compare(const Graph& g, const SpanningTreeScheme<A>& tree,
+  // Byte-level comparison of every piece of repaired state, plus every
+  // repaired tree against the keyed heap on the current weights (so a
+  // lane switch inside apply_event cannot hide behind an oracle that
+  // switched the same way). Returns a description of the first
+  // divergence, empty when identical.
+  static std::string compare(const A& alg, const Graph& g,
+                             const EdgeMap<typename A::Weight>& w,
+                             const SpanningTreeScheme<A>& tree,
                              const SpanningTreeScheme<A>& tree_oracle,
                              const CowenScheme<A>& cowen,
                              const CowenScheme<A>& oracle) {
@@ -144,6 +154,14 @@ struct ChurnScenario {
     for (NodeId u = 0; u < g.node_count(); ++u) {
       std::ostringstream at;
       at << " at u=" << u;
+      const auto heap = dijkstra(alg, g, w, u);
+      const PathTree<typename A::Weight>& repaired = cowen.tree(u);
+      if (repaired.parent != heap.parent ||
+          repaired.parent_edge != heap.parent_edge ||
+          repaired.hops != heap.hops || repaired.reached != heap.reached ||
+          repaired.weights != heap.weights) {
+        return "cowen tree differs from the heap's" + at.str();
+      }
       if (cowen.landmark_of(u) != oracle.landmark_of(u)) {
         return "cowen landmark_of" + at.str();
       }
@@ -186,9 +204,11 @@ struct ChurnScenario {
 };
 
 template <RoutingAlgebra A>
-void run_differential_trace(const A& alg, std::uint64_t seed) {
-  ChurnScenario<A> scenario{alg, seed};
-  const auto trace = scenario.make_trace();
+void run_differential_trace(
+    const ChurnScenario<A>& scenario,
+    const std::vector<ChurnEvent<typename A::Weight>>& trace) {
+  const A& alg = scenario.alg;
+  const std::uint64_t seed = scenario.seed;
   ASSERT_FALSE(trace.empty()) << alg.name() << " seed=" << seed;
   const ReplayResult full = scenario.replay(trace);
   ASSERT_NE(full.outcome, ReplayOutcome::kInvalid)
@@ -210,6 +230,12 @@ void run_differential_trace(const A& alg, std::uint64_t seed) {
   ADD_FAILURE() << report.str();
 }
 
+template <RoutingAlgebra A>
+void run_differential_trace(const A& alg, std::uint64_t seed) {
+  const ChurnScenario<A> scenario{alg, seed};
+  run_differential_trace(scenario, scenario.make_trace());
+}
+
 class ChurnSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 // 18 seeds × 3 algebras = 54 seeded traces, ≥50 as the harness pins.
@@ -228,6 +254,67 @@ TEST_P(ChurnSeeds, MostReliableIncrementalMatchesRebuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Traces, ChurnSeeds,
+                         ::testing::Range<std::uint64_t>(1, 19));
+
+// Unit-weight churn: every tree the repair recomputes, and every tree of
+// the rebuild oracle, takes the BFS lane.
+class UnitChurnSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Links go down and come back up at weight 1 (ShortestPath{1} samples
+// nothing else), so the weights stay uniform for the whole trace.
+TEST_P(UnitChurnSeeds, FlapOnlyUnitWeightMatchesRebuild) {
+  ChurnScenario<ShortestPath> scenario{ShortestPath{1}, GetParam()};
+  scenario.trace_options.p_down = 0.5;
+  scenario.trace_options.p_up = 0.5;
+  const auto trace = scenario.make_trace();
+  for (const auto& ev : trace) {
+    ASSERT_NE(ev.kind, ChurnKind::kWeightChange);
+  }
+  run_differential_trace(scenario, trace);
+}
+
+// Unit weights, then one edge moves to weight 3 and back to 1, with a
+// link flap in each state: the per-event gather in apply_event sees
+// non-uniform weights (heap) and uniform ones again (BFS) in turn, and
+// every repair must still match the rebuild and the heap.
+std::vector<ChurnEvent<std::uint64_t>> lane_switch_trace(const Graph& g,
+                                                         std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<bool> alive(g.edge_count(), true);
+  std::vector<ChurnEvent<std::uint64_t>> trace;
+  double now = 0;
+  const auto push = [&](ChurnKind kind, EdgeId e, std::uint64_t w) {
+    ChurnEvent<std::uint64_t> ev;
+    ev.time = now += 1;
+    ev.kind = kind;
+    ev.edge = e;
+    ev.new_weight = w;
+    trace.push_back(ev);
+  };
+  for (int round = 0; round < 4; ++round) {
+    const EdgeId e = static_cast<EdgeId>(rng.index(g.edge_count()));
+    EdgeId d = kInvalidEdge;
+    for (int attempt = 0; attempt < 64 && d == kInvalidEdge; ++attempt) {
+      const EdgeId c = static_cast<EdgeId>(rng.index(g.edge_count()));
+      if (c != e && connected_without_edge(g, alive, c)) d = c;
+    }
+    push(ChurnKind::kWeightChange, e, 3);  // non-uniform: heap lane
+    if (d != kInvalidEdge) push(ChurnKind::kEdgeDown, d, 0);
+    push(ChurnKind::kWeightChange, e, 1);  // uniform again: BFS lane
+    if (d != kInvalidEdge) push(ChurnKind::kEdgeUp, d, 1);
+  }
+  return trace;
+}
+
+TEST_P(UnitChurnSeeds, LaneSwitchingTraceMatchesRebuild) {
+  const ChurnScenario<ShortestPath> scenario{ShortestPath{1}, GetParam()};
+  const auto inst = test::seeded_instance(scenario.alg, scenario.seed,
+                                          scenario.n, scenario.p);
+  run_differential_trace(scenario,
+                         lane_switch_trace(inst.graph, scenario.seed));
+}
+
+INSTANTIATE_TEST_SUITE_P(Traces, UnitChurnSeeds,
                          ::testing::Range<std::uint64_t>(1, 19));
 
 // The Cowen fallback path: a threshold of 0 pushes every event with a

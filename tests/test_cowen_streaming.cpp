@@ -7,7 +7,8 @@
 // and must produce a **bit-identical** scheme — same landmark set, same
 // promotions, same cluster sizes, same flat tables, same encoded labels —
 // at every thread count. This suite pins that equivalence over a 50-seed
-// corpus for the keyed/strict lane (ShortestPath), plus non-strict and
+// corpus for the keyed/strict lane (ShortestPath) and the unit-weight
+// BFS lane (ShortestPath with every weight 1), plus non-strict and
 // generic-heap lanes (WidestPath, MostReliablePath), promotion-heavy
 // options, disconnected graphs, the stats-only table-less mode, and the
 // post-build churn path (apply_event lazily materializes and must then
@@ -94,6 +95,29 @@ TEST_P(StreamSeeds, CowenStreamShortestPathBitIdentical) {
   const std::uint64_t seed = GetParam();
   auto inst = test::seeded_instance(ShortestPath{64}, seed, 48, 0.15);
   differential(ShortestPath{64}, inst.graph, inst.weights, seed * 7 + 1);
+}
+
+// Unit weights: every landmark sweep and every materialized tree takes
+// the BFS lane (detail::bfs_tree). Both constructions must still agree
+// byte for byte, and the oracle's trees must equal the heap's.
+TEST_P(StreamSeeds, CowenStreamUnitWeightBitIdentical) {
+  const std::uint64_t seed = GetParam();
+  const ShortestPath alg{1};  // samples only weight 1
+  auto inst = test::seeded_instance(alg, seed, 48, 0.15);
+  differential(alg, inst.graph, inst.weights, seed * 7 + 1);
+  Rng rm(seed * 7 + 1);
+  CowenOptions mopt;
+  mopt.construction = CowenOptions::Construction::kMaterialized;
+  const auto oracle =
+      CowenScheme<ShortestPath>::build(alg, inst.graph, inst.weights, rm, mopt);
+  for (NodeId t = 0; t < inst.graph.node_count(); ++t) {
+    const auto heap = dijkstra(alg, inst.graph, inst.weights, t);
+    ASSERT_EQ(oracle.tree(t).parent, heap.parent) << "t=" << t;
+    ASSERT_EQ(oracle.tree(t).parent_edge, heap.parent_edge) << "t=" << t;
+    ASSERT_EQ(oracle.tree(t).hops, heap.hops) << "t=" << t;
+    ASSERT_EQ(oracle.tree(t).weights, heap.weights) << "t=" << t;
+    ASSERT_EQ(oracle.tree(t).reached, heap.reached) << "t=" << t;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(FiftySeeds, StreamSeeds,

@@ -389,6 +389,25 @@ TEST(FibCompileWidth, RowCapacitiesPastU32Throw) {
                std::length_error);
 }
 
+// The tree, mesh and interval adapters narrow their light, label and
+// child offsets through fib_u32_offset: the largest u32 passes through,
+// one more throws naming the section.
+TEST(FibCompileWidth, OffsetNarrowingThrowsPastU32) {
+  constexpr std::uint64_t kMax = UINT32_MAX;
+  EXPECT_EQ(fib_u32_offset(kMax, "tree light offsets"), UINT32_MAX);
+  EXPECT_EQ(fib_u32_offset(0, "tree light offsets"), 0u);
+  EXPECT_THROW(fib_u32_offset(kMax + 1, "tree light offsets"),
+               std::length_error);
+  try {
+    fib_u32_offset(kMax + 1, "interval child offsets");
+    FAIL() << "no throw";
+  } catch (const std::length_error& e) {
+    EXPECT_NE(std::string(e.what()).find("interval child offsets"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ---- Degenerate graphs ----
 //
 // node_count == 0 is legal, and single-node / single-edge graphs hit

@@ -1,13 +1,17 @@
 // The name-independent TZ layer (scheme/tz_name_independent.hpp):
 // delivery and stretch ≤ 3 under arbitrary (non-identity) label
 // permutations, hop-for-hop agreement with the embedded Cowen scheme,
-// dictionary-resolution consistency, label codec round-trips, and the
-// honest memory accounting (dictionary share included).
+// dictionary-resolution consistency, label codec round-trips, the
+// honest memory accounting (dictionary share included), and unit-weight
+// churn through the BFS tree lane with its label-space deltas.
 #include "algebra/primitives.hpp"
+#include "fib/compile.hpp"
+#include "fib/forward_engine.hpp"
 #include "graph/generators.hpp"
 #include "routing/dijkstra.hpp"
 #include "scheme/cowen.hpp"
 #include "scheme/tz_name_independent.hpp"
+#include "sim/churn.hpp"
 #include "test_support.hpp"
 
 #include <gtest/gtest.h>
@@ -185,6 +189,68 @@ TEST(TzScheme, LabelPermutationIsSeededAndNonIdentity) {
   ASSERT_FALSE(sa.labels().is_identity());
   EXPECT_EQ(sa.labels().raw_label_of(), sb.labels().raw_label_of());
 }
+
+// Unit weights (ShortestPath{1} samples only 1): the build's landmark
+// sweeps and every repair recompute take the BFS lane. Per event of a
+// flap trace, the embedded Cowen trees must equal the heap's on the
+// current weights, and the label-space FibDelta the TZ layer emits,
+// absorbed by a maintained arena, must serve exactly what a fresh
+// compile of the repaired scheme serves, on the healthy graph and under
+// the current dead-edge mask.
+class TzUnitSeeds : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(TzUnitSeeds, UnitWeightChurnLabelDeltasMatchFreshCompile) {
+  const ShortestPath alg{1};
+  const std::uint64_t seed = GetParam();
+  auto inst = test::seeded_instance(alg, seed, 24, 0.2);
+  const Graph& g = inst.graph;
+  auto scheme = TzNameIndependentScheme<ShortestPath>::build(
+      alg, g, inst.weights, inst.rng);
+  ASSERT_FALSE(scheme.labels().is_identity());
+  expect_tz_stretch3(alg, seed, 24);
+
+  ChurnTraceOptions flaps;
+  flaps.p_down = 0.5;
+  flaps.p_up = 0.5;
+  Rng trace_rng(seed ^ 0x7a7a7a7aull);
+  const auto trace =
+      random_churn_trace(alg, g, inst.weights, 12, trace_rng, flaps);
+  ASSERT_FALSE(trace.empty());
+
+  ChurnEngine<ShortestPath> engine(alg, g, inst.weights);
+  FibMaintainOptions opt = fib_churn_maintain_options();
+  opt.compaction_fraction = 2.0;  // keep absorbing deltas, not recompiling
+  MaintainedFib<TzNameIndependentScheme<ShortestPath>> plane(scheme, g, opt);
+  const auto queries = test::all_pairs(g.node_count());
+  std::size_t patched_events = 0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " event " << i);
+    const auto applied = engine.apply(trace[i]);
+    const auto repair = scheme.apply_event(applied.edge, applied.old_weight,
+                                           applied.new_weight,
+                                           engine.weights(),
+                                           /*rebuild_dirty_fraction=*/2.0);
+    if (!repair.fib_delta.patches.empty()) ++patched_events;
+    plane.absorb(repair.fib_delta, scheme);
+    for (NodeId t = 0; t < g.node_count(); ++t) {
+      const auto heap = dijkstra(alg, g, engine.weights(), t);
+      ASSERT_EQ(scheme.cowen().tree(t).parent, heap.parent) << "t=" << t;
+      ASSERT_EQ(scheme.cowen().tree(t).hops, heap.hops) << "t=" << t;
+    }
+    const FlatFib fresh = compile_fib(scheme, g);
+    FibBatchOptions bopt;
+    EXPECT_EQ(test::batch_hash(forward_batch(plane.fib(), queries, bopt)),
+              test::batch_hash(forward_batch(fresh, queries, bopt)));
+    const std::vector<bool> down = engine.down_mask();
+    bopt.edge_down = &down;
+    EXPECT_EQ(test::batch_hash(forward_batch(plane.fib(), queries, bopt)),
+              test::batch_hash(forward_batch(fresh, queries, bopt)));
+  }
+  EXPECT_GT(patched_events, 0u) << "no event produced a label-space delta";
+}
+
+INSTANTIATE_TEST_SUITE_P(TenSeeds, TzUnitSeeds,
+                         ::testing::Range<std::uint64_t>(1, 11));
 
 }  // namespace
 }  // namespace cpr
