@@ -27,10 +27,10 @@
 //
 // Usage: bench_forward [--quick] [--filter=substr] [--out=path]
 //                      [--baseline=path] [--dispatch=auto|scalar|simd]
-// --quick shrinks the sweep to n=1000 for CI smoke runs (entries keep
-// keys the full baseline also has). --baseline= points at a committed
-// BENCH_forward.json; the run fails (exit 1) if any matching
-// (family, n, threads) entry regresses ns_per_hop by more than 25%.
+// --quick shrinks the sweep to n=1000 for CI smoke runs; each entry times
+// the same batch as the full baseline's entry with its key. --baseline=
+// points at a committed BENCH_forward.json; the run fails (exit 1) if any
+// matching (family, n, threads) entry regresses ns_per_hop by more than 25%.
 // --dispatch=scalar emits only the "_scalar" suites (the forced-scalar
 // CI leg); --dispatch=simd emits only the native suites, degrading to
 // "_scalar" names + a warning when the machine lacks AVX2 so the
@@ -308,8 +308,7 @@ void write_json(std::ostream& os, const std::vector<SuiteResult>& suites,
 //
 // Every suite is gated on ns_per_hop by (family, n, threads), with no
 // cushion: family names are distinct per (workload, dispatch) flavor, so
-// a v2 file self-compares cleanly and a v1 baseline still matches its
-// surviving native keys.
+// each dispatch leg matches only its own baseline keys.
 int check_baseline(const std::string& path,
                    const std::vector<SuiteResult>& suites) {
   std::vector<bench::GateEntry> live;
@@ -325,7 +324,7 @@ int check_baseline(const std::string& path,
 int main(int argc, char** argv) {
   const cpr::bench::BenchArgs args = cpr::bench::parse_bench_args(
       argc, argv, "bench_forward", "BENCH_forward.json",
-      /*accept_baseline=*/true, /*accept_dispatch=*/true);
+      /*accept_dispatch=*/true);
   if (!args.ok) return 2;
 
   const auto want = [&](const char* name) {
@@ -334,7 +333,10 @@ int main(int argc, char** argv) {
   const std::vector<cpr::Flavor> flavors = cpr::dispatch_flavors(args.dispatch);
 
   // Quick mode keeps every family at n=1000 — keys a full-mode committed
-  // baseline also carries, so the CI smoke run can diff against it.
+  // baseline also carries, so the CI smoke run can diff against it. The
+  // query count does not shrink: an entry must time the same batch as the
+  // baseline entry it is gated against (a 20k-query batch at 8 threads
+  // lasts about a millisecond and read up to 3x slower).
   // cowen stops at 10k for the same reason as bench_json's cowen_build
   // suite.
   const std::vector<std::size_t> tree_ns =
@@ -343,7 +345,7 @@ int main(int argc, char** argv) {
   const std::vector<std::size_t> cowen_ns =
       args.quick ? std::vector<std::size_t>{1000}
                  : std::vector<std::size_t>{1000, 10000};
-  const std::size_t n_queries = args.quick ? 20000 : 200000;
+  const std::size_t n_queries = 200000;
 
   std::vector<cpr::SuiteResult> suites;
   if (want("tree")) {

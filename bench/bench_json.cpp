@@ -413,8 +413,7 @@ void write_json(std::ostream& os, const std::vector<SuiteResult>& suites,
 
 int main(int argc, char** argv) {
   const cpr::bench::BenchArgs args = cpr::bench::parse_bench_args(
-      argc, argv, "bench_json", "BENCH_hotpath.json",
-      /*accept_baseline=*/true);
+      argc, argv, "bench_json", "BENCH_hotpath.json");
   if (!args.ok) return 2;
   const bool quick = args.quick;
   const std::string& out_path = args.out_path;

@@ -46,7 +46,7 @@ inline Graph sweep_graph(std::size_t n, std::uint64_t seed) {
 }
 
 // Sweep graph plus uniform integer weights in [1, cap] — the instance the
-// JSON trajectory benches (bench_json, bench_churn, bench_forward) all
+// JSON trajectory benches (bench_json, bench_forward) and bench_cowen
 // time against, fixed per n.
 struct SweepInstance {
   Graph g;
@@ -244,7 +244,6 @@ struct BenchArgs {
 inline BenchArgs parse_bench_args(int argc, char** argv,
                                   const char* bench_name,
                                   std::string default_out,
-                                  bool accept_baseline = false,
                                   bool accept_dispatch = false) {
   BenchArgs a;
   a.out_path = std::move(default_out);
@@ -257,7 +256,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
       a.filter = arg.substr(9);
     } else if (arg.rfind("--out=", 0) == 0) {
       a.out_path = arg.substr(6);
-    } else if (accept_baseline && arg.rfind("--baseline=", 0) == 0) {
+    } else if (arg.rfind("--baseline=", 0) == 0) {
       a.baseline = arg.substr(11);
     } else if (accept_dispatch && arg.rfind("--dispatch=", 0) == 0) {
       a.dispatch = arg.substr(11);
@@ -271,8 +270,7 @@ inline BenchArgs parse_bench_args(int argc, char** argv,
     } else {
       std::cerr << "unknown argument: " << arg << "\n"
                 << "usage: " << bench_name
-                << " [--quick] [--filter=substr] [--out=path]"
-                << (accept_baseline ? " [--baseline=path]" : "")
+                << " [--quick] [--filter=substr] [--out=path] [--baseline=path]"
                 << (accept_dispatch ? " [--dispatch=auto|scalar|simd]" : "")
                 << "\n";
       a.ok = false;
@@ -294,8 +292,8 @@ inline bool suite_wanted(const std::string& filter, const char* name) {
 // by self-parsing it: every writer emits one object per suite with its
 // fields in a fixed order, so a forward scan from each occurrence of the
 // key field up to the next one recovers the fields without a JSON
-// library. Needles are exact: "\"ns_per_hop\":" matches neither
-// "ns_per_hop_paths" nor an older baseline's "ns_per_hop_hot_cache".
+// library. Needles are exact: "\"ns_per_hop\":" does not match
+// "ns_per_hop_paths".
 
 struct BaselineSpec {
   std::string key_field;    // "name", or "family" in BENCH_forward.json

@@ -86,9 +86,21 @@ struct ChurnScenario {
   double p = 0.25;
   std::size_t events = 20;
   ChurnTraceOptions trace_options = {};
+  // 0: connected G(n, p). Otherwise preferential_attachment(n, pa_links,
+  // 0.25), whose hubs and long tails give BFS layers of a few nodes
+  // against several bitmap words.
+  std::size_t pa_links = 0;
+
+  test::SeededInstance<A> instance() const {
+    if (pa_links == 0) return test::seeded_instance(alg, seed, n, p);
+    test::SeededInstance<A> inst{Rng(seed), Graph{}, {}};
+    inst.graph = preferential_attachment(n, pa_links, 0.25, inst.rng);
+    inst.weights = test::sampled_weights(alg, inst.graph, inst.rng);
+    return inst;
+  }
 
   std::vector<ChurnEvent<typename A::Weight>> make_trace() const {
-    auto inst = test::seeded_instance(alg, seed, n, p);
+    auto inst = instance();
     Rng trace_rng(seed ^ 0x9e3779b97f4a7c15ull);
     return random_churn_trace(alg, inst.graph, inst.weights, events,
                               trace_rng, trace_options);
@@ -97,7 +109,7 @@ struct ChurnScenario {
   ReplayResult replay(
       const std::vector<ChurnEvent<typename A::Weight>>& trace) const {
     ReplayResult result;
-    auto inst = test::seeded_instance(alg, seed, n, p);
+    auto inst = instance();
     const Graph& g = inst.graph;
     try {
       ChurnEngine<A> engine(alg, g, inst.weights);
@@ -218,7 +230,7 @@ void run_differential_trace(
 
   // Minimize before reporting.
   const auto shrunk = scenario.shrink(trace, full.first_mismatch);
-  auto inst = test::seeded_instance(alg, seed, scenario.n, scenario.p);
+  const auto inst = scenario.instance();
   std::ostringstream report;
   report << alg.name() << " seed=" << seed << ": incremental repair diverged ("
          << full.detail << ") at event " << full.first_mismatch << " of "
@@ -262,8 +274,7 @@ class UnitChurnSeeds : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Links go down and come back up at weight 1 (ShortestPath{1} samples
 // nothing else), so the weights stay uniform for the whole trace.
-TEST_P(UnitChurnSeeds, FlapOnlyUnitWeightMatchesRebuild) {
-  ChurnScenario<ShortestPath> scenario{ShortestPath{1}, GetParam()};
+void run_flap_only_trace(ChurnScenario<ShortestPath> scenario) {
   scenario.trace_options.p_down = 0.5;
   scenario.trace_options.p_up = 0.5;
   const auto trace = scenario.make_trace();
@@ -271,6 +282,20 @@ TEST_P(UnitChurnSeeds, FlapOnlyUnitWeightMatchesRebuild) {
     ASSERT_NE(ev.kind, ChurnKind::kWeightChange);
   }
   run_differential_trace(scenario, trace);
+}
+
+TEST_P(UnitChurnSeeds, FlapOnlyUnitWeightMatchesRebuild) {
+  run_flap_only_trace({ShortestPath{1}, GetParam()});
+}
+
+// The seeded G(18, p) graphs fit one bitmap word, so every BFS layer
+// takes the bitmap branch; this instance also reaches the sorted
+// sparse-layer branch of detail::bfs_tree.
+TEST(UnitChurnPreferential, FlapOnlyUnitWeightMatchesRebuild) {
+  ChurnScenario<ShortestPath> scenario{ShortestPath{1}, 5};
+  scenario.n = 400;
+  scenario.pa_links = 2;
+  run_flap_only_trace(scenario);
 }
 
 // Unit weights, then one edge moves to weight 3 and back to 1, with a
@@ -308,8 +333,7 @@ std::vector<ChurnEvent<std::uint64_t>> lane_switch_trace(const Graph& g,
 
 TEST_P(UnitChurnSeeds, LaneSwitchingTraceMatchesRebuild) {
   const ChurnScenario<ShortestPath> scenario{ShortestPath{1}, GetParam()};
-  const auto inst = test::seeded_instance(scenario.alg, scenario.seed,
-                                          scenario.n, scenario.p);
+  const auto inst = scenario.instance();
   run_differential_trace(scenario,
                          lane_switch_trace(inst.graph, scenario.seed));
 }
@@ -381,8 +405,9 @@ TEST(ChurnEngine, RejectsInconsistentEvents) {
   // Up on a live edge.
   EXPECT_THROW(engine.apply(up), std::invalid_argument);
   // Out-of-range edge id.
-  ChurnEvent<std::uint64_t> oob{4.0, ChurnKind::kEdgeDown,
-                                inst.graph.edge_count(), {}};
+  ChurnEvent<std::uint64_t> oob{
+      4.0, ChurnKind::kEdgeDown,
+      static_cast<EdgeId>(inst.graph.edge_count()), {}};
   EXPECT_THROW(engine.apply(oob), std::invalid_argument);
 }
 
@@ -414,7 +439,8 @@ TEST(ChurnEngine, ErrorMessagesCarryEventContext) {
   EXPECT_EQ(message_of({3.0, ChurnKind::kEdgeUp, 2, alg.phi()}),
             "ChurnEngine: edge already up (event index 2, t=3.000000, edge 2)");
   EXPECT_EQ(
-      message_of({3.5, ChurnKind::kEdgeDown, inst.graph.edge_count(), {}}),
+      message_of({3.5, ChurnKind::kEdgeDown,
+                  static_cast<EdgeId>(inst.graph.edge_count()), {}}),
       "ChurnEngine: event edge out of range (event index 2, t=3.500000, edge " +
           std::to_string(inst.graph.edge_count()) + ")");
   engine.apply({4.0, ChurnKind::kEdgeDown, 2, {}});

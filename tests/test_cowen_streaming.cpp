@@ -100,18 +100,16 @@ TEST_P(StreamSeeds, CowenStreamShortestPathBitIdentical) {
 // Unit weights: every landmark sweep and every materialized tree takes
 // the BFS lane (detail::bfs_tree). Both constructions must still agree
 // byte for byte, and the oracle's trees must equal the heap's.
-TEST_P(StreamSeeds, CowenStreamUnitWeightBitIdentical) {
-  const std::uint64_t seed = GetParam();
-  const ShortestPath alg{1};  // samples only weight 1
-  auto inst = test::seeded_instance(alg, seed, 48, 0.15);
-  differential(alg, inst.graph, inst.weights, seed * 7 + 1);
-  Rng rm(seed * 7 + 1);
+void unit_weight_differential(const Graph& g, std::uint64_t seed) {
+  const ShortestPath alg{1};
+  const EdgeMap<std::uint64_t> w(g.edge_count(), 1);
+  differential(alg, g, w, seed);
+  Rng rm(seed);
   CowenOptions mopt;
   mopt.construction = CowenOptions::Construction::kMaterialized;
-  const auto oracle =
-      CowenScheme<ShortestPath>::build(alg, inst.graph, inst.weights, rm, mopt);
-  for (NodeId t = 0; t < inst.graph.node_count(); ++t) {
-    const auto heap = dijkstra(alg, inst.graph, inst.weights, t);
+  const auto oracle = CowenScheme<ShortestPath>::build(alg, g, w, rm, mopt);
+  for (NodeId t = 0; t < g.node_count(); ++t) {
+    const auto heap = dijkstra(alg, g, w, t);
     ASSERT_EQ(oracle.tree(t).parent, heap.parent) << "t=" << t;
     ASSERT_EQ(oracle.tree(t).parent_edge, heap.parent_edge) << "t=" << t;
     ASSERT_EQ(oracle.tree(t).hops, heap.hops) << "t=" << t;
@@ -120,8 +118,23 @@ TEST_P(StreamSeeds, CowenStreamUnitWeightBitIdentical) {
   }
 }
 
+TEST_P(StreamSeeds, CowenStreamUnitWeightBitIdentical) {
+  const std::uint64_t seed = GetParam();
+  auto inst = test::seeded_instance(ShortestPath{1}, seed, 48, 0.15);
+  unit_weight_differential(inst.graph, seed * 7 + 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(FiftySeeds, StreamSeeds,
                          ::testing::Range<std::uint64_t>(1, 51));
+
+// The seeded G(48, p) graphs fit one bitmap word, so every BFS layer
+// takes the bitmap branch; a preferential-attachment graph of a few
+// hundred nodes also reaches the sorted sparse-layer branch.
+TEST(StreamPreferential, CowenStreamUnitWeightBitIdentical) {
+  Rng rng(5);
+  const Graph g = preferential_attachment(400, 2, 0.25, rng);
+  unit_weight_differential(g, 36);
+}
 
 class StreamSeedsWide : public ::testing::TestWithParam<std::uint64_t> {};
 
