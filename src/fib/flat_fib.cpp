@@ -44,6 +44,12 @@ std::size_t align_up(std::size_t x, std::size_t a) {
   return (x + a - 1) / a * a;
 }
 
+// First payload byte of a blob with `section_count` directory entries.
+std::size_t payload_begin_for(std::size_t section_count) {
+  return align_up(kHeaderBytes + section_count * kDirEntryBytes,
+                  kSectionAlign);
+}
+
 struct SectionRef {
   const std::uint8_t* data = nullptr;
   std::size_t bytes = 0;
@@ -186,6 +192,20 @@ std::uint64_t fib_payload_checksum(const void* data, std::size_t bytes) {
   return h;
 }
 
+bool fib_reseal_payload_checksum(std::uint8_t* blob, std::size_t bytes) {
+  if (bytes < kHeaderBytes) return false;
+  std::uint32_t section_count = 0;
+  std::uint64_t payload_bytes = 0;
+  std::memcpy(&section_count, blob + 16, 4);
+  std::memcpy(&payload_bytes, blob + 24, 8);
+  if (section_count == 0 || section_count > 64) return false;
+  const std::size_t begin = payload_begin_for(section_count);
+  if (begin > bytes || payload_bytes > bytes - begin) return false;
+  const std::uint64_t sum = fib_payload_checksum(blob + begin, payload_bytes);
+  std::memcpy(blob + kChecksumOffset, &sum, 8);
+  return true;
+}
+
 FlatFib FlatFib::from_words(std::vector<std::uint64_t> words) {
   FlatFib fib;
   fib.words_ = std::move(words);
@@ -258,7 +278,7 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
   if (section_count == 0 || section_count > 64) fail("bad section count");
 
   const std::size_t dir_end = kHeaderBytes + section_count * kDirEntryBytes;
-  const std::size_t payload_begin = align_up(dir_end, kSectionAlign);
+  const std::size_t payload_begin = payload_begin_for(section_count);
   if (payload_begin > avail || payload_bytes > avail - payload_begin) {
     fail("blob truncated");
   }
@@ -295,7 +315,6 @@ FlatFib FlatFib::open(FlatFib fib, std::size_t avail) {
 
   const std::size_t n = node_count;
   fib.bytes_ = total;
-  fib.payload_begin_ = payload_begin;
   fib.kind_ = static_cast<FibKind>(kind_raw);
   fib.node_count_ = n;
 
@@ -566,7 +585,6 @@ FlatFib::FlatFib(FlatFib&& other) noexcept
       deep_validate_(other.deep_validate_),
       writable_(other.writable_),
       bytes_(other.bytes_),
-      payload_begin_(other.payload_begin_),
       kind_(other.kind_),
       node_count_(other.node_count_),
       sections_(std::move(other.sections_)),
@@ -589,7 +607,6 @@ FlatFib& FlatFib::operator=(FlatFib&& other) noexcept {
     deep_validate_ = other.deep_validate_;
     writable_ = other.writable_;
     bytes_ = other.bytes_;
-    payload_begin_ = other.payload_begin_;
     kind_ = other.kind_;
     node_count_ = other.node_count_;
     sections_ = std::move(other.sections_);
@@ -617,14 +634,14 @@ std::uint8_t* FlatFib::section_ptr(std::uint32_t id) {
 
 void FlatFib::refresh_checksum() const {
   if (!writable_ || mutable_base_ == nullptr) return;  // foreign read-only
-  const std::uint64_t sum = fib_payload_checksum(
-      mutable_base_ + payload_begin_, bytes_ - payload_begin_);
-  std::memcpy(mutable_base_ + kChecksumOffset, &sum, 8);
+  fib_reseal_payload_checksum(mutable_base_, bytes_);
   checksum_stale_ = false;
 }
 
-bool FlatFib::apply_delta(const FibDelta& delta) {
+bool FlatFib::apply_delta(const FibDelta& delta,
+                          std::vector<FibWordWrite>* writes) {
   namespace fs = fib_section;
+  if (writes != nullptr) writes->clear();
   if (delta.recompile) return false;
   if (delta.patches.empty()) return true;
   if (kind_ != FibKind::kCowen && kind_ != FibKind::kTz) return false;
@@ -733,7 +750,28 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
 
   // All stores below are relaxed atomics so concurrent forward_batch
   // readers (who re-read the generation around every batch and retry on a
-  // mismatch) race with them benignly rather than undefinedly.
+  // mismatch) race with them benignly rather than undefinedly. Each store
+  // that changes a word is reported to `writes`; a u32 store as the u64
+  // word around it (sections are 64-byte aligned, so that word never
+  // straddles another section).
+  const auto tracked = [&](const void* slot, auto&& store) {
+    if (writes == nullptr) return store();
+    const auto* word = reinterpret_cast<const std::uint64_t*>(
+        reinterpret_cast<std::uintptr_t>(slot) & ~std::uintptr_t{7});
+    const std::uint64_t before = fib_seq_load_u64(word);
+    store();
+    const std::uint64_t after = fib_seq_load_u64(word);
+    if (after == before) return;
+    const auto index = static_cast<std::uint64_t>(
+        (reinterpret_cast<const std::uint8_t*>(word) - mutable_base_) / 8);
+    writes->push_back({index, before, after});
+  };
+  const auto store_u64 = [&](std::uint64_t* p, std::uint64_t v) {
+    tracked(p, [&] { fib_seq_store_u64(p, v); });
+  };
+  const auto store_u32 = [&](std::uint32_t* p, std::uint32_t v) {
+    tracked(p, [&] { fib_seq_store_u32(p, v); });
+  };
   std::size_t applied = 0;
   for (const FibRowPatch& p : delta.patches) {
     if (applied++ == crash_after_patches_) {
@@ -751,30 +789,30 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         fib_eytzinger_inorder(len, [&](std::uint64_t k, std::uint64_t i) {
           std::uint64_t e;
           std::memcpy(&e, p.bytes.data() + i * 8, 8);
-          fib_seq_store_u64(rows + begin + k, e);
+          store_u64(rows + begin + k, e);
         });
         for (std::size_t i = len; i < cap; ++i) {
-          fib_seq_store_u64(rows + begin + i, 0);
+          store_u64(rows + begin + i, 0);
         }
-        fib_seq_store_u32(row_len + p.row, static_cast<std::uint32_t>(len));
+        store_u32(row_len + p.row, static_cast<std::uint32_t>(len));
         break;
       }
       case fs::kCowenLandmark: {
         std::uint32_t lm;
         std::memcpy(&lm, p.bytes.data(), 4);
-        fib_seq_store_u32(landmark + p.row, lm);
+        store_u32(landmark + p.row, lm);
         break;
       }
       case fs::kCowenLandmarkPort: {
         std::uint32_t port;
         std::memcpy(&port, p.bytes.data(), 4);
-        fib_seq_store_u32(landmark_port + p.row, port);
+        store_u32(landmark_port + p.row, port);
         break;
       }
       case fs::kLabelMap: {
         std::uint32_t label;
         std::memcpy(&label, p.bytes.data(), 4);
-        fib_seq_store_u32(label_map + p.row, label);
+        store_u32(label_map + p.row, label);
         break;
       }
       case fs::kDictionary: {
@@ -784,10 +822,10 @@ bool FlatFib::apply_delta(const FibDelta& delta) {
         for (std::size_t i = 0; i < len; ++i) {
           std::uint64_t e;
           std::memcpy(&e, p.bytes.data() + i * 8, 8);
-          fib_seq_store_u64(slot + i, e);
+          store_u64(slot + i, e);
         }
         for (std::size_t i = len; i < tz_.dict_bucket_cap; ++i) {
-          fib_seq_store_u64(slot + i, kFibDictEmpty);
+          store_u64(slot + i, kFibDictEmpty);
         }
         break;
       }
@@ -829,9 +867,7 @@ void FibBuilder::add_section_writer(std::uint32_t id, std::size_t nbytes,
 
 FlatFib FibBuilder::finish() {
   // Lay out every offset first, then allocate the blob exactly once.
-  const std::size_t dir_end =
-      kHeaderBytes + sections_.size() * kDirEntryBytes;
-  const std::size_t payload_begin = align_up(dir_end, kSectionAlign);
+  const std::size_t payload_begin = payload_begin_for(sections_.size());
   std::vector<std::uint64_t> offsets;
   offsets.reserve(sections_.size());
   std::size_t cursor = payload_begin;

@@ -201,6 +201,22 @@ inline constexpr std::uint32_t kFibBlobVersion = 6;
 // replaced was a dependent multiply chain.
 std::uint64_t fib_payload_checksum(const void* data, std::size_t bytes);
 
+// Recomputes the payload checksum of the blob at `blob` (`bytes` long)
+// over the payload region its own header names, and writes it into the
+// header. False, with nothing written, when the header or that region
+// does not fit in `bytes`. FlatFib's lazy refresh and the patch channel's
+// snapshot re-seal both call it, so the region rule lives here only.
+bool fib_reseal_payload_checksum(std::uint8_t* blob, std::size_t bytes);
+
+// One u64 blob word a patch store changed: its index from the blob start
+// and its value before and after the store. A u32 store is reported as
+// the u64 word that contains it. apply_delta fills these.
+struct FibWordWrite {
+  std::uint64_t index = 0;
+  std::uint64_t before = 0;
+  std::uint64_t after = 0;
+};
+
 // Seqlock-protected loads/stores of the mutable arena sections. The
 // patched slots (Cowen rows, row lengths, landmark labels) are written
 // by apply_delta while reader threads walk them; both sides go through
@@ -419,7 +435,15 @@ class FlatFib {
   // return never leaves a half-applied arena. Single writer: concurrent
   // apply_delta calls must be serialized by the caller; concurrent
   // forward_batch readers are safe (seqlock).
-  bool apply_delta(const FibDelta& delta);
+  //
+  // When `writes` is non-null it is cleared and then receives one entry
+  // per store that changed a blob word, in store order (a word stored
+  // twice appears twice, each with the value it held at that store).
+  // This footprint is the one account of which bytes a delta moves: the
+  // patch channel folds it into its segment checksum instead of
+  // re-deriving the layout.
+  bool apply_delta(const FibDelta& delta,
+                   std::vector<FibWordWrite>* writes = nullptr);
 
   // Even while the arena is stable, odd while apply_delta is rewriting
   // it; bumped by two per applied delta. forward_batch samples it on
@@ -499,7 +523,6 @@ class FlatFib {
   bool deep_validate_ = true;         // from_shared: bounds checks only
   bool writable_ = false;             // false: mmap'd/foreign, never patched
   std::size_t bytes_ = 0;             // meaningful prefix of the backing
-  std::size_t payload_begin_ = 0;     // checksummed region [begin, bytes_)
   FibKind kind_ = FibKind::kTree;
   std::size_t node_count_ = 0;
   std::vector<SectionEntry> sections_;

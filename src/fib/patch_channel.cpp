@@ -13,7 +13,6 @@
 #include <sys/inotify.h>
 #endif
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -36,65 +35,16 @@ void atomic_store_u64(std::uint8_t* p, std::uint64_t v) {
   fib_seq_store_u64(reinterpret_cast<std::uint64_t*>(p), v);
 }
 
-// Mirrors the FlatFib blob layout constants (flat_fib.cpp): 40-byte
-// header with the section count at +16 and the payload checksum at +32,
-// 24-byte directory entries from +40, payload 64-byte aligned. The
-// layout is pinned byte-for-byte by tests/test_blob_layout.cpp, so
-// parsing it here cannot drift silently.
-constexpr std::size_t kBlobHeaderBytes = 40;
-constexpr std::size_t kBlobDirEntryBytes = 24;
-constexpr std::size_t kBlobChecksumOffset = 32;
-constexpr std::size_t kBlobSectionAlign = 64;
-
-// Re-seals the inner payload checksum of a private blob copy: a
-// snapshot taken mid-churn carries patched rows but the pre-patch sum
-// (flat_fib.hpp refreshes it lazily, never through the channel), so the
-// structural validation below would reject every patched snapshot on
-// the checksum alone. The segment's own position-weighted checksum has
-// already vouched for the copied bytes at this point.
-bool reseal_blob_checksum(std::uint8_t* blob, std::size_t bytes) {
-  if (bytes < kBlobHeaderBytes) return false;
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count, blob + 16, 4);
-  if (section_count == 0 || section_count > 64) return false;
-  const std::size_t dir_end =
-      kBlobHeaderBytes + section_count * kBlobDirEntryBytes;
-  const std::size_t payload_begin =
-      (dir_end + kBlobSectionAlign - 1) / kBlobSectionAlign *
-      kBlobSectionAlign;
-  if (payload_begin > bytes) return false;
-  const std::uint64_t sum =
-      fib_payload_checksum(blob + payload_begin, bytes - payload_begin);
-  std::memcpy(blob + kBlobChecksumOffset, &sum, 8);
-  return true;
-}
-
-// Blob-relative byte offset of a directory section, 0 when absent.
-std::uint64_t blob_section_offset(const std::uint8_t* blob, std::size_t bytes,
-                                  std::uint32_t want_id) {
-  if (bytes < kBlobHeaderBytes) return 0;
-  std::uint32_t section_count = 0;
-  std::memcpy(&section_count, blob + 16, 4);
-  if (section_count > 64) return 0;
-  for (std::uint32_t s = 0; s < section_count; ++s) {
-    const std::uint8_t* e = blob + kBlobHeaderBytes + s * kBlobDirEntryBytes;
-    if (kBlobHeaderBytes + (s + 1) * kBlobDirEntryBytes > bytes) return 0;
-    std::uint32_t id = 0;
-    std::uint64_t offset = 0;
-    std::memcpy(&id, e, 4);
-    std::memcpy(&offset, e + 8, 8);
-    if (id == want_id) return offset;
-  }
-  return 0;
-}
-
 // Validates a snapshot copy end to end: segment checksum already held,
 // now the blob itself — re-seal the payload checksum and run FlatFib's full
-// structural open against the private bytes.
+// structural open against the private bytes. The re-seal is needed
+// because a snapshot taken mid-churn carries patched rows but the
+// pre-patch payload sum (FlatFib refreshes it lazily, never through the
+// channel); the segment's own checksum has already vouched for the bytes.
 bool validate_blob_copy(std::vector<std::uint64_t>& words,
                         std::size_t payload_bytes) {
   auto* bytes = reinterpret_cast<std::uint8_t*>(words.data());
-  if (!reseal_blob_checksum(bytes, payload_bytes)) return false;
+  if (!fib_reseal_payload_checksum(bytes, payload_bytes)) return false;
   try {
     FlatFib::from_memory(bytes, payload_bytes);
   } catch (const std::exception&) {
@@ -500,12 +450,7 @@ PatchChannelWriter::PatchChannelWriter(PatchChannelWriter&& other) noexcept
       arena_generation_(other.arena_generation_),
       fib_(std::move(other.fib_)),
       takeover_(other.takeover_),
-      rows_off_(other.rows_off_),
-      row_len_off_(other.row_len_off_),
-      landmark_off_(other.landmark_off_),
-      landmark_port_off_(other.landmark_port_off_),
-      label_map_off_(other.label_map_off_),
-      dict_off_(other.dict_off_) {
+      writes_(std::move(other.writes_)) {
   other.lock_fd_ = -1;
   other.map_ = nullptr;
   other.map_bytes_ = 0;
@@ -528,12 +473,7 @@ PatchChannelWriter& PatchChannelWriter::operator=(
     arena_generation_ = other.arena_generation_;
     fib_ = std::move(other.fib_);
     takeover_ = other.takeover_;
-    rows_off_ = other.rows_off_;
-    row_len_off_ = other.row_len_off_;
-    landmark_off_ = other.landmark_off_;
-    landmark_port_off_ = other.landmark_port_off_;
-    label_map_off_ = other.label_map_off_;
-    dict_off_ = other.dict_off_;
+    writes_ = std::move(other.writes_);
     other.lock_fd_ = -1;
     other.map_ = nullptr;
     other.map_bytes_ = 0;
@@ -571,16 +511,6 @@ void PatchChannelWriter::attach_segment(std::uint64_t gen) {
   // Stamp ownership. flock already fences live writers; the header token
   // records who owns the bytes for audits and the crash-matrix asserts.
   atomic_store_u64(base + patch_segment::kWriterFence, fence_token_);
-  const std::uint8_t* blob = base + kPatchSegmentHeaderBytes;
-  namespace fsid = fib_section;
-  rows_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRows);
-  row_len_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kCowenRowLen);
-  landmark_off_ =
-      blob_section_offset(blob, h.payload_bytes, fsid::kCowenLandmark);
-  landmark_port_off_ =
-      blob_section_offset(blob, h.payload_bytes, fsid::kCowenLandmarkPort);
-  label_map_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kLabelMap);
-  dict_off_ = blob_section_offset(blob, h.payload_bytes, fsid::kDictionary);
   auto* seq_word = reinterpret_cast<std::uint64_t*>(base + patch_segment::kSeq);
   fib_ = FlatFib::from_shared(base + kPatchSegmentHeaderBytes, h.payload_bytes,
                               seq_word, /*writable=*/true);
@@ -636,99 +566,34 @@ std::uint64_t PatchChannelWriter::recover(
   return publish_blob(fallback_blob);
 }
 
-std::vector<std::size_t> PatchChannelWriter::touched_words(
-    const FibDelta& delta) const {
-  namespace fsid = fib_section;
-  const auto& cw = fib_.cowen();
-  const auto& tz = fib_.tz();
-  const bool labeled = fib_.kind() == FibKind::kTz;
-  const std::size_t n = fib_.node_count();
-  std::vector<std::size_t> words;
-  for (const FibRowPatch& p : delta.patches) {
-    // A patch apply_delta refuses (row out of range, label sections on
-    // a kind without them) rejects the whole delta, so no word moves and
-    // no fold runs; skip it here so nothing past a section is read.
-    const bool dict = p.section == fsid::kDictionary;
-    if ((p.section == fsid::kLabelMap || dict) && !labeled) continue;
-    if (p.row >= (dict ? tz.dict_bucket_count : n)) continue;
-    switch (p.section) {
-      case fsid::kCowenRows: {
-        const std::size_t begin = cw.row_off[p.row];
-        const std::size_t end = cw.row_off[p.row + 1];
-        for (std::size_t i = begin; i < end; ++i) {
-          words.push_back(rows_off_ / 8 + i);
-        }
-        words.push_back((row_len_off_ + 4 * std::size_t{p.row}) / 8);
-        break;
-      }
-      case fsid::kCowenLandmark:
-        words.push_back((landmark_off_ + 4 * std::size_t{p.row}) / 8);
-        break;
-      case fsid::kCowenLandmarkPort:
-        words.push_back((landmark_port_off_ + 4 * std::size_t{p.row}) / 8);
-        break;
-      case fsid::kLabelMap:
-        words.push_back((label_map_off_ + 4 * std::size_t{p.row}) / 8);
-        break;
-      case fsid::kDictionary: {
-        // Slots start past the 16-byte [count][cap] header; a bucket
-        // patch rewrites all bucket_cap slots (live prefix + empty fill).
-        const std::size_t first =
-            dict_off_ / 8 + 2 + std::size_t{p.row} * tz.dict_bucket_cap;
-        for (std::size_t i = 0; i < tz.dict_bucket_cap; ++i) {
-          words.push_back(first + i);
-        }
-        break;
-      }
-      default:
-        break;  // apply_delta will reject the delta wholesale
-    }
-  }
-  std::sort(words.begin(), words.end());
-  words.erase(std::unique(words.begin(), words.end()), words.end());
-  return words;
-}
-
-std::uint64_t PatchChannelWriter::weighted_sum_live(
-    const std::vector<std::size_t>& words) const {
-  const auto* blob_words = reinterpret_cast<const std::uint64_t*>(
-      static_cast<const std::uint8_t*>(map_) + kPatchSegmentHeaderBytes);
-  std::uint64_t sum = 0;
-  for (const std::size_t i : words) {
-    sum += fib_seq_load_u64(blob_words + i) *
-           (2 * static_cast<std::uint64_t>(i) + 1);
-  }
-  return sum;
-}
-
 bool PatchChannelWriter::apply(const FibDelta& delta, PatchStop stop) {
   if (map_ == nullptr) return false;
   if (delta.recompile) return false;
   if (delta.empty()) return true;
-
-  const auto words = touched_words(delta);
-  const std::uint64_t sum_old = weighted_sum_live(words);
 
   if (stop == PatchStop::kMidPatch) {
     // Die inside the window: some patches land, seq stays odd. The fork
     // harness raises SIGKILL right after we return.
     fib_.simulate_writer_crash_after_for_test(delta.patches.size() / 2);
   }
-  if (!fib_.apply_delta(delta)) return false;
+  if (!fib_.apply_delta(delta, &writes_)) return false;
   if (stop == PatchStop::kMidPatch || stop == PatchStop::kBeforeChecksum) {
     return true;  // truncated on purpose: checksum fold never runs
   }
 
-  // Incremental checksum fold: additivity means only the touched words'
-  // contribution moves — O(patch), not O(arena). Runs after the window
-  // closes; adopters treat a transient mismatch as retry (see
+  // Incremental checksum fold over the words apply_delta reports having
+  // changed: additivity means only their contribution moves — O(patch),
+  // not O(arena) — and a word changed twice telescopes. Runs after the
+  // window closes; adopters treat a transient mismatch as retry (see
   // patch_channel_snapshot) and a permanent one as a dead writer.
-  const std::uint64_t sum_new = weighted_sum_live(words);
+  std::uint64_t fold = 0;
+  for (const FibWordWrite& w : writes_) {
+    fold += (w.after - w.before) * (2 * w.index + 1);
+  }
   auto* base = static_cast<std::uint8_t*>(map_);
   const std::uint64_t cur =
       atomic_load_u64(base + patch_segment::kChecksum);
-  atomic_store_u64(base + patch_segment::kChecksum,
-                   cur + (sum_new - sum_old));
+  atomic_store_u64(base + patch_segment::kChecksum, cur + fold);
   const std::uint64_t patches =
       atomic_load_u64(base + patch_segment::kPatchesApplied);
   atomic_store_u64(base + patch_segment::kPatchesApplied, patches + 1);

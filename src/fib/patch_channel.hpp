@@ -32,10 +32,13 @@
 // lazily stale under in-place patches (by design — see flat_fib.hpp), so
 // the segment header carries its own: sum over the blob's u64 words of
 // word[i] * (2*i + 1) (mod 2^64). The odd weights make it position-
-// sensitive, and additivity makes it incrementally maintainable — the
-// writer folds in (new - old) * weight for exactly the words a delta
-// touched, O(patch) not O(arena). It is a crash/torn-write detector, not
-// a cryptographic digest; the immutable .fib files keep the full XXH64.
+// sensitive, and additivity makes it incrementally maintainable —
+// FlatFib::apply_delta reports each blob word its stores changed, with
+// the value before and after, and the writer only folds each report's
+// (after - before) * weight into the header, O(patch) not O(arena); the
+// channel never parses the blob layout itself. It is a crash/torn-write
+// detector, not a cryptographic digest; the immutable .fib files keep
+// the full XXH64.
 // The checksum is updated AFTER the seqlock window closes, which turns
 // "writer died post-patch, pre-checksum" into a detectable state: seq is
 // even but the sum disagrees, so adopters discard the segment and fall
@@ -308,12 +311,6 @@ class PatchChannelWriter {
   std::uint64_t generation_now() const { return arena_generation_; }
   std::uint64_t fence_token() const { return fence_token_; }
 
-  // Test hook forwarded to the shared arena: the next apply() abandons
-  // the segment mid-window after `patches` row patches (seq left odd).
-  void simulate_crash_after_for_test(std::size_t patches) {
-    fib_.simulate_writer_crash_after_for_test(patches);
-  }
-
   ArenaStore& store() { return store_; }
   const std::uint8_t* segment_for_test() const {
     return static_cast<const std::uint8_t*>(map_);
@@ -327,9 +324,6 @@ class PatchChannelWriter {
   // Maps arena-<gen>.pch read-write and wires the shared arena over it.
   void attach_segment(std::uint64_t gen);
   void detach_segment();
-  // Sorted, deduplicated blob-word indices a delta will touch.
-  std::vector<std::size_t> touched_words(const FibDelta& delta) const;
-  std::uint64_t weighted_sum_live(const std::vector<std::size_t>& words) const;
 
   std::filesystem::path dir_;
   std::uint64_t fence_token_ = 0;
@@ -340,15 +334,9 @@ class PatchChannelWriter {
   std::uint64_t arena_generation_ = 0;
   FlatFib fib_;
   TakeoverOutcome takeover_ = TakeoverOutcome::kNone;
-  // Blob-relative byte offsets of the patchable sections in the mapped
-  // segment (parsed once per attach; the directory is immutable). The
-  // label map and dictionary exist on kTz arenas only.
-  std::uint64_t rows_off_ = 0;
-  std::uint64_t row_len_off_ = 0;
-  std::uint64_t landmark_off_ = 0;
-  std::uint64_t landmark_port_off_ = 0;
-  std::uint64_t label_map_off_ = 0;
-  std::uint64_t dict_off_ = 0;
+  // The last apply()'s footprint, as apply_delta reported it; kept here
+  // so its capacity is reused across patches.
+  std::vector<FibWordWrite> writes_;
 };
 
 }  // namespace cpr

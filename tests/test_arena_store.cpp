@@ -15,8 +15,6 @@
 #include "fib/forward_engine.hpp"
 #include "scheme/cowen.hpp"
 #include "scheme/tz_name_independent.hpp"
-#include "sim/churn.hpp"
-#include "sim/serving.hpp"
 #include "test_support.hpp"
 
 #include <gtest/gtest.h>
@@ -339,69 +337,6 @@ TEST(ArenaStoreMultiProcess, ChildReaderOnlyServesValidatedGenerations) {
       << "10=invalid generation served, 11=torn/wrong bytes served, "
          "12=wrong final generation, 13=never saw an arena";
 #endif
-}
-
-// ---- The sim layer end to end (writer role + reader role in-process) --
-
-TEST(ServingSim, ChurnServedThroughStore) {
-  StoreDir dir("sim");
-  const ShortestPath alg{16};
-  auto inst = test::seeded_instance(alg, 9, 64, 0.1);
-  Rng trace_rng(0xfeedull);
-  const auto trace =
-      random_churn_trace(alg, inst.graph, inst.weights, 10, trace_rng);
-  ChurnEngine<ShortestPath> engine(alg, inst.graph, inst.weights);
-  auto scheme = CowenScheme<ShortestPath>::build(alg, inst.graph,
-                                                 inst.weights, inst.rng);
-  Rng pair_rng(7);
-  const StoreServeReport report = serve_churn_through_store(
-      scheme, engine, trace, dir.path, /*pairs_per_event=*/40, pair_rng,
-      /*publish_every=*/2);
-  EXPECT_EQ(report.events, trace.size());
-  // Initial publish + one per two events (trace length is even).
-  EXPECT_EQ(report.published, 1 + trace.size() / 2);
-  EXPECT_GT(report.generations_seen, 1u)
-      << "the reader never picked up a newer generation";
-  EXPECT_EQ(report.queries, trace.size() * 40);
-  EXPECT_GT(report.delivery_fraction(), 0.5);
-  EXPECT_GT(report.maintain.patched, 0u)
-      << "the writer role never exercised the seqlock patch path";
-}
-
-// The channel-driven sibling: the same churn trace served through the
-// MAP_SHARED patch segment. One publish up front; every in-place delta
-// must reach the reader with zero further publishes, and the reader must
-// actually be on the live segment (via_channel), not the .fib fallback.
-TEST(ServingSim, ChurnServedThroughChannel) {
-  StoreDir dir("simch");
-  const ShortestPath alg{16};
-  auto inst = test::seeded_instance(alg, 9, 64, 0.1);
-  Rng trace_rng(0xfeedull);
-  const auto trace =
-      random_churn_trace(alg, inst.graph, inst.weights, 10, trace_rng);
-  ChurnEngine<ShortestPath> engine(alg, inst.graph, inst.weights);
-  auto scheme = CowenScheme<ShortestPath>::build(alg, inst.graph,
-                                                 inst.weights, inst.rng);
-  Rng pair_rng(7);
-  const ChannelServeReport report = serve_churn_through_channel(
-      scheme, engine, trace, dir.path, /*pairs_per_event=*/40, pair_rng);
-  EXPECT_EQ(report.events, trace.size());
-  EXPECT_EQ(report.patched + report.refused, trace.size());
-  EXPECT_GT(report.patched, 0u)
-      << "no delta ever travelled through the live segment";
-  // Every publish is accounted for: the initial one plus one per
-  // refused (recompile-demanding) delta — nothing per patched delta.
-  EXPECT_EQ(report.published, 1 + report.refused);
-  EXPECT_EQ(report.generations_seen, report.published)
-      << "the reader missed (or double-counted) a generation";
-  EXPECT_GT(report.channel_batches, 0u)
-      << "the reader never served through the live segment";
-  EXPECT_EQ(report.queries, trace.size() * 40);
-  EXPECT_GT(report.delivery_fraction(), 0.5);
-  if (report.refused == 0) {
-    EXPECT_EQ(report.patches_visible, report.patched)
-        << "the final snapshot's header disagrees with the patch count";
-  }
 }
 
 }  // namespace

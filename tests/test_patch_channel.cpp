@@ -136,6 +136,21 @@ T read_le(std::span<const std::uint8_t> bytes, std::size_t offset) {
   return v;
 }
 
+// True when the writer's header checksum equals a full recompute over
+// its whole live blob: the incremental fold after each apply() must land
+// exactly where patch_channel_checksum would. Call it between applies,
+// from the writer's thread.
+bool header_checksum_is_exact(const PatchChannelWriter& writer) {
+  PatchSegmentHeader h;
+  if (!patch_channel_read_header(writer.segment_for_test(),
+                                 writer.segment_bytes_for_test(), &h)) {
+    return false;
+  }
+  const auto* blob = reinterpret_cast<const std::uint64_t*>(
+      writer.segment_for_test() + kPatchSegmentHeaderBytes);
+  return h.checksum == patch_channel_checksum(blob, h.payload_bytes / 8);
+}
+
 // ---------------------------------------------------------------------------
 // Wire format: the "CPRPCH01" segment header, pinned byte for byte.
 
@@ -417,15 +432,20 @@ FibDelta label_swap_delta(const FlatFib& fib, NodeId a, NodeId b) {
 // Label-map and dictionary patches go through the channel like row
 // patches: the writer must fold their words into the segment checksum,
 // or the sealed segment reads as checksum-stale and every reader falls
-// back to the pristine file, losing the patch.
+// back to the pristine file, losing the patch. After the swap the same
+// segment takes a TZ churn trace whose every delta also swaps two labels,
+// so each apply() writes rows, row lengths, label-map slots and
+// dictionary buckets; after every apply the header checksum must equal a
+// full recompute, which no reader checks while the generation holds.
 TEST(PatchChannelLive, TzLabelSwapIsSealedAndAdopted) {
   StoreDir dir("tz_label_swap");
   const ShortestPath alg{16};
   auto inst = test::seeded_instance(alg, 5, kN, kP);
-  const auto scheme = TzNameIndependentScheme<ShortestPath>::build(
-      alg, inst.graph, inst.weights, inst.rng);
-  const FlatFib fib0 = compile_fib(scheme, inst.graph,
-                                   fib_churn_maintain_options().compile);
+  const Graph& g = inst.graph;
+  auto scheme = TzNameIndependentScheme<ShortestPath>::build(
+      alg, g, inst.weights, inst.rng);
+  const FlatFib fib0 =
+      compile_fib(scheme, g, fib_churn_maintain_options().compile);
   const auto queries = all_pairs(fib0.node_count());
   const FibDelta swap = label_swap_delta(fib0, 0, 1);
   FlatFib patched = writable_copy(fib0);
@@ -440,6 +460,7 @@ TEST(PatchChannelLive, TzLabelSwapIsSealedAndAdopted) {
   auto writer = PatchChannelWriter::acquire(dir.path, 11);
   EXPECT_EQ(writer.publish(fib0), 1u);
   ASSERT_TRUE(writer.apply(swap));
+  EXPECT_TRUE(header_checksum_is_exact(writer));
 
   PatchChannelReader reader(dir.path);
   const auto arena = reader.current();
@@ -448,6 +469,40 @@ TEST(PatchChannelLive, TzLabelSwapIsSealedAndAdopted) {
       << "the sealed segment must validate, not fall back to the file";
   EXPECT_EQ(arena->patches_applied(), 1u);
   EXPECT_EQ(serve_hash(arena->fib(), queries), h1);
+
+  Rng trace_rng(0x7a5eull);
+  const auto trace =
+      random_churn_trace(alg, g, inst.weights, kEvents, trace_rng);
+  ChurnEngine<ShortestPath> engine(alg, g, inst.weights);
+  std::set<std::uint32_t> sections;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    SCOPED_TRACE(testing::Message() << "event " << i);
+    const auto ev = engine.apply(trace[i]);
+    FibDelta d = scheme
+                     .apply_event(ev.edge, ev.old_weight, ev.new_weight,
+                                  engine.weights(),
+                                  /*rebuild_dirty_fraction=*/2.0)
+                     .fib_delta;
+    ASSERT_FALSE(d.recompile);
+    const NodeId a = static_cast<NodeId>(i % g.node_count());
+    const NodeId b = static_cast<NodeId>((i + 1) % g.node_count());
+    for (FibRowPatch& p : label_swap_delta(writer.fib(), a, b).patches) {
+      d.patches.push_back(std::move(p));
+    }
+    for (const FibRowPatch& p : d.patches) sections.insert(p.section);
+    ASSERT_TRUE(writer.apply(d));
+    ASSERT_TRUE(header_checksum_is_exact(writer))
+        << "the fold drifted from a full recompute";
+  }
+  EXPECT_EQ(sections.count(fib_section::kCowenRows), 1u);
+  EXPECT_EQ(sections.count(fib_section::kLabelMap), 1u);
+  EXPECT_EQ(sections.count(fib_section::kDictionary), 1u);
+
+  const auto adopted = PatchChannelReader(dir.path).current();
+  ASSERT_NE(adopted, nullptr);
+  EXPECT_TRUE(adopted->via_channel())
+      << "the sealed segment must still validate after the trace";
+  EXPECT_EQ(adopted->patches_applied(), 1 + trace.size());
 }
 
 TEST(PatchChannelLive, WatcherAdoptsPatchesInPlaceAndCutsOverOnPublish) {
@@ -753,6 +808,7 @@ constexpr int kReaderNeverSawFinal = 23;
 constexpr int kReaderWrongFinalBytes = 24;
 constexpr int kWriterApplyRefused = 30;
 constexpr int kWriterHandshakeTimeout = 31;
+constexpr int kWriterChecksumDrift = 32;      // fold != full recompute
 
 bool wait_for_file(const fs::path& p,
                    std::chrono::steady_clock::time_point deadline) {
@@ -785,6 +841,7 @@ int child_writer_main(const fs::path& dir, const FlatFib& fib0,
   }
   for (const FibDelta& d : deltas) {
     if (!writer.apply(d)) return kWriterApplyRefused;
+    if (!header_checksum_is_exact(writer)) return kWriterChecksumDrift;
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   touch(dir / "DONE");
@@ -935,7 +992,8 @@ TEST_P(PatchChannelSeeds, CrossProcessBatchesMatchSomeLegalGeneration) {
                   "21=saw a republished generation, 22=never adopted, "
                   "23=never saw the final state, 24=wrong final bytes, "
                   "30=writer refused a delta the oracle accepted, "
-                  "31=reader handshake timed out";
+                  "31=reader handshake timed out, "
+                  "32=header checksum drifted from a full recompute";
   };
   reap(writer_pid, "writer");
   reap(poll_pid, "polling reader");
